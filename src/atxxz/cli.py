@@ -14,7 +14,8 @@ from . import __version__
 from .basis import Full, build_basis
 from .models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
                      build_hamiltonian, ground_sector)
-from .eigensolve import ConvergenceError, dense_spectrum, ground_state
+from .eigensolve import (DENSE_LIMIT, ConvergenceError, dense_spectrum,
+                         ground_state)
 from . import kernels
 from .sweeps import SweepSpec, figure_presets, run_sweep
 from . import verify as verify_mod
@@ -159,11 +160,18 @@ def _cmd_figure(args):
 def _cmd_spectrum(args):
     p = ModelParams(args.model, args.m_sites, delta=args.delta, beta=args.beta)
     sector = ground_sector(p) if args.sector == "ground" else Full()
+    if args.levels < 1:
+        raise _ArgumentError("--levels must be at least 1")
     h = build_hamiltonian(p, sector)
-    if args.levels >= h.dim or h.dim <= 1024:
+    if args.levels <= 2:
+        res = ground_state(h, k=args.levels, tol=args.tol, seed=args.seed)
+    elif h.dim <= DENSE_LIMIT:
         res = dense_spectrum(h)
     else:
-        res = ground_state(h, k=min(args.levels, 2), tol=args.tol, seed=args.seed)
+        raise _ArgumentError(
+            f"--levels {args.levels} needs the dense solver, which is limited "
+            f"to dimension {DENSE_LIMIT} (this chain has {h.dim}); "
+            f"use --levels 2 or fewer")
     print(f"model={p.model} spins={p.n_spins} sector={sector} dim={h.dim}")
     for i, e in enumerate(res.energies[:args.levels]):
         print(f"E{i} = {e:.12f}")

@@ -152,20 +152,23 @@ def run_sweep(spec):
 
     result = SweepResult(spec)
     values = {q: np.array([pt[1][q] for pt in points]) for q in base}
-    conv = [pt[2] for pt in points]
+    conv = np.array([pt[2] for pt in points])
     for q in spec.quantities:
         if ":" in q:
             order = int(q[1])
             series = Series(spec.sweep, grid, values[q.split(":", 1)[1]])
-            deriv = finite_difference(series, order=order)
-            col = deriv.values
+            col = finite_difference(series, order=order).values
+            # a derivative row is converged when every point its stencil
+            # reads is: push NaN marks of failed points through that stencil
+            marks = Series(spec.sweep, grid, np.where(conv, 0.0, np.nan))
+            col_conv = ~np.isnan(finite_difference(marks, order=order).values)
         else:
-            col = values[q]
+            col, col_conv = values[q], conv
         for i, v in enumerate(grid):
             p = points[i][0]
             result.rows.append(Row(
                 spec.model, n_spins, p.delta, p.beta, label, q,
-                float(col[i]), conv[i] if ":" not in q else all(conv)))
+                float(col[i]), bool(col_conv[i])))
     if spec.out:
         write_csv(result, spec.out)
     return result

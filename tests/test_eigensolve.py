@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackError
 
 from atxxz import (ModelParams, build_hamiltonian, dense_spectrum,
                    ground_sector, lanczos_ground)
 from atxxz.basis import CapacityError, Full, SpinBasis
+from atxxz import eigensolve
 from atxxz.eigensolve import ConvergenceError, ground_state
 from atxxz.models import ASHKIN_TELLER, STAGGERED_XXZ
 
@@ -52,12 +54,14 @@ class TestLanczos:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("k", [1, 2])
     def test_random_matrix_oracle(self, seed, k):
-        h = _DenseWrapper(random_sym(300, seed))
-        res = lanczos_ground(h, k=k, seed=seed)
-        w = np.linalg.eigvalsh(h.mat)
-        assert np.allclose(res.energies, w[:k], atol=1e-9)
-        assert all(res.converged)
-        assert res.residuals.max() < 1e-10
+        # dims 2 and 3 sit at ARPACK's k < dim limit; dim == k solves densely
+        for dim in (300, 2, 3):
+            h = _DenseWrapper(random_sym(dim, seed))
+            res = lanczos_ground(h, k=k, seed=seed)
+            w = np.linalg.eigvalsh(h.mat)
+            assert np.allclose(res.energies, w[:k], atol=1e-9)
+            assert all(res.converged)
+            assert res.residuals.max() < 1e-10
 
     @pytest.mark.parametrize("model", [ASHKIN_TELLER, STAGGERED_XXZ])
     def test_chain_matches_dense(self, model):
@@ -105,6 +109,14 @@ class TestLanczos:
         with pytest.raises(ConvergenceError) as exc:
             lanczos_ground(h, k=1, max_iter=3, tol=1e-12)
         assert exc.value.best_residual > 0
+
+    def test_arpack_error_becomes_convergence_error(self, monkeypatch):
+        def broken(*a, **k):
+            raise ArpackError(-9999)
+        monkeypatch.setattr(eigensolve, "eigsh", broken)
+        with pytest.raises(ConvergenceError) as exc:
+            lanczos_ground(_DenseWrapper(random_sym(50, 0)), k=2)
+        assert 0 < exc.value.best_residual < np.inf
 
     def test_argument_validation(self):
         h = _DenseWrapper(random_sym(8, 0))

@@ -83,6 +83,25 @@ class TestRunSweep:
         assert all(not r.converged for r in result.rows)
         assert all(np.isnan(r.value) for r in result.rows)
 
+    def test_derivative_rows_flag_their_own_stencil(self, monkeypatch):
+        real = sweeps_mod.ground_state
+
+        def fail_first_point(h, *a, **k):
+            if h.params.delta == 0.5:
+                raise ConvergenceError("forced", best_residual=1.0)
+            return real(h, *a, **k)
+        monkeypatch.setattr(sweeps_mod, "ground_state", fail_first_point)
+        quantities = ("entropy", "d1:entropy", "d2:entropy")
+        result = run_sweep(small_spec(stop=0.9, quantities=quantities))
+        flags = {q: [r.converged for r in result.rows if r.quantity == q]
+                 for q in quantities}
+        assert flags["entropy"] == [False, True, True, True, True]
+        # d1 reads (0, 1) at the left end and i +- 1 inside; d2 reads
+        # (0, 1, 2) at the left end and i-1..i+1 inside
+        assert flags["d1:entropy"] == [False, False, True, True, True]
+        assert flags["d2:entropy"] == [False, False, True, True, True]
+        assert all(np.isfinite(r.value) == r.converged for r in result.rows)
+
     def test_threads_match_serial(self):
         serial = run_sweep(small_spec(threads=1))
         parallel = run_sweep(small_spec(threads=3))
@@ -166,6 +185,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "E0" in out and "E2" in out
 
+    def test_spectrum_refuses_levels_beyond_dense_limit(self, capsys):
+        # three levels need the dense solver; dim 16384 exceeds its limit
+        code = cli.main(["spectrum", "--model", "at", "--m-sites", "8",
+                         "--levels", "3"])
+        assert code == cli.EXIT_ARGUMENT
+        assert "--levels 3" in capsys.readouterr().err
+
     def test_verify_ok(self, tmp_path, capsys):
         report = tmp_path / "report.txt"
         code = cli.main(["verify", "link-algebra", "energy", "--m", "2",
@@ -178,6 +204,7 @@ class TestCli:
         assert cli.main(["sweep", "--model", "heisenberg"]) == 1
         assert cli.main(["figure", "fig99"]) == 1
         assert cli.main(["sweep", "--block", "no-such-preset"]) == 1
+        assert cli.main(["spectrum", "--levels", "0"]) == 1
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):
