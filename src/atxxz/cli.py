@@ -11,12 +11,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .basis import Full, build_basis
+from .basis import CapacityError, Full, build_basis
 from .models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
                      build_hamiltonian, ground_sector)
 from .eigensolve import (DENSE_LIMIT, ConvergenceError, dense_spectrum,
                          ground_state)
-from . import kernels
 from .sweeps import SweepSpec, figure_presets, run_sweep
 from . import verify as verify_mod
 
@@ -226,7 +225,6 @@ def _cmd_info(args):
     basis = build_basis(p.n_spins, sector,
                         frame="x" if p.model == ASHKIN_TELLER else "z")
     print(f"atxxz {__version__}")
-    print(f"numba kernels: {'enabled' if kernels.NUMBA_ENABLED else 'disabled'}")
     print(f"model={p.model} M={p.m_sites} spins={p.n_spins}")
     print(f"ground sector {sector}: dimension {basis.dim} of {1 << p.n_spins}")
     return EXIT_OK
@@ -263,10 +261,8 @@ def main(argv=None):
                    "spectrum": _cmd_spectrum, "verify": _cmd_verify,
                    "info": _cmd_info}[args.command]
         return handler(args)
-    except _ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGUMENT
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (_ArgumentError, ValueError, KeyError, FileNotFoundError,
+            CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGUMENT
     except ConvergenceError as exc:

@@ -111,10 +111,10 @@ def lanczos_ground(h, k=1, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
         best_residual=best)
 
 
-def ground_state(h, k=2, tol=DEFAULT_TOL, seed=0, dense_cutoff=DENSE_CUTOFF):
-    """Convenience ground-state solve: dense up to the cutoff, else ARPACK."""
+def ground_state(h, k=2, tol=DEFAULT_TOL, seed=0):
+    """Convenience ground-state solve: dense up to DENSE_CUTOFF, else ARPACK."""
     k = min(k, h.dim)
-    if h.dim <= dense_cutoff:
+    if h.dim <= DENSE_CUTOFF:
         res = dense_spectrum(h)
         return EigenResult(res.energies[:k], res.states[:k], res.residuals[:k],
                            res.converged[:k], res.gap, res.degenerate)

@@ -1,34 +1,17 @@
 """Hot kernels: COO entry generation for the sparse Hamiltonians.
 
-Each kernel emits (rows, cols, vals) triplets over a sorted sector basis;
-duplicate (row, col) pairs are summed downstream by the CSR conversion.
-When numba is importable the looped versions are jit-compiled; setting
-ATXXZ_DISABLE_NUMBA=1 (or a missing numba) selects the vectorized
-pure-numpy fallbacks. Both paths produce identical triplet sums.
+Each kernel emits (rows, cols, vals) triplets over a sorted sector basis,
+vectorized over the basis states with one numpy pass per term; duplicate
+(row, col) pairs are summed downstream by the CSR conversion.
 """
-
-import os
 
 import numpy as np
 
-
-def numba_requested():
-    return not os.environ.get("ATXXZ_DISABLE_NUMBA", "")
-
-
-def _try_numba():
-    if not numba_requested():
-        return None
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-    return njit
+# the numpy kernels are the only path; perfbench/run.py reads this on every run
+NUMBA_ENABLED = False
 
 
-# --- pure-numpy fallbacks -------------------------------------------------
-
-def xxz_entries_numpy(states, bond_a, bond_b, coupling, delta):
+def xxz_entries(states, bond_a, bond_b, coupling, delta):
     """Staggered XXZ in the z frame: -c(XX+YY) + c*delta*ZZ per bond."""
     dim = len(states)
     idx = np.arange(dim, dtype=np.int64)
@@ -48,7 +31,7 @@ def xxz_entries_numpy(states, bond_a, bond_b, coupling, delta):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def at_entries_numpy(states, m_sites, j_coupling, beta, delta):
+def at_entries(states, m_sites, j_coupling, beta, delta):
     """Ashkin-Teller in the x frame: diagonal site terms plus bond flips.
 
     Sigma spin j sits on bit 2j, tau spin j on bit 2j+1 (j = 0..M-1).
@@ -79,86 +62,3 @@ def at_entries_numpy(states, m_sites, j_coupling, beta, delta):
             cols.append(idx)
             vals.append(np.full(dim, val))
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
-# --- looped versions (numba targets) --------------------------------------
-
-def _xxz_entries_loop(states, bond_a, bond_b, coupling, delta):
-    dim = len(states)
-    nb = len(bond_a)
-    cap = dim * (1 + nb)
-    rows = np.empty(cap, dtype=np.int64)
-    cols = np.empty(cap, dtype=np.int64)
-    vals = np.empty(cap)
-    k = 0
-    for i in range(dim):
-        s = states[i]
-        diag = 0.0
-        for b in range(nb):
-            za = 1 - 2 * ((s >> bond_a[b]) & 1)
-            zb = 1 - 2 * ((s >> bond_b[b]) & 1)
-            diag += coupling[b] * delta * za * zb
-            if za != zb:
-                t = s ^ ((1 << bond_a[b]) | (1 << bond_b[b]))
-                rows[k] = np.searchsorted(states, t)
-                cols[k] = i
-                vals[k] = -2.0 * coupling[b]
-                k += 1
-        rows[k] = i
-        cols[k] = i
-        vals[k] = diag
-        k += 1
-    return rows[:k], cols[:k], vals[:k]
-
-
-def _at_entries_loop(states, m_sites, j_coupling, beta, delta):
-    dim = len(states)
-    cap = dim * (1 + 3 * m_sites)
-    rows = np.empty(cap, dtype=np.int64)
-    cols = np.empty(cap, dtype=np.int64)
-    vals = np.empty(cap)
-    k = 0
-    for i in range(dim):
-        s = states[i]
-        diag = 0.0
-        for j in range(m_sites):
-            zs = 1 - 2 * ((s >> (2 * j)) & 1)
-            zt = 1 - 2 * ((s >> (2 * j + 1)) & 1)
-            diag += -j_coupling * (zs + zt + delta * zs * zt)
-        if m_sites == 1:
-            # self-wrapped periodic bond: identity, a pure diagonal shift
-            diag += -j_coupling * beta * (2.0 + delta)
-        rows[k] = i
-        cols[k] = i
-        vals[k] = diag
-        k += 1
-        if m_sites == 1:
-            continue
-        for j in range(m_sites):
-            jp = (j + 1) % m_sites
-            m_sig = (1 << (2 * j)) | (1 << (2 * jp))
-            m_tau = (1 << (2 * j + 1)) | (1 << (2 * jp + 1))
-            rows[k] = np.searchsorted(states, s ^ m_sig)
-            cols[k] = i
-            vals[k] = -j_coupling * beta
-            k += 1
-            rows[k] = np.searchsorted(states, s ^ m_tau)
-            cols[k] = i
-            vals[k] = -j_coupling * beta
-            k += 1
-            rows[k] = np.searchsorted(states, s ^ (m_sig | m_tau))
-            cols[k] = i
-            vals[k] = -j_coupling * beta * delta
-            k += 1
-    return rows[:k], cols[:k], vals[:k]
-
-
-_njit = _try_numba()
-NUMBA_ENABLED = _njit is not None
-
-if NUMBA_ENABLED:
-    xxz_entries = _njit(cache=True)(_xxz_entries_loop)
-    at_entries = _njit(cache=True)(_at_entries_loop)
-else:
-    xxz_entries = xxz_entries_numpy
-    at_entries = at_entries_numpy

@@ -1,5 +1,7 @@
 """Parameter sweeps over ground states, figure presets, CSV emission."""
 
+import logging
+import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -11,8 +13,12 @@ import numpy as np
 from .models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
                      build_hamiltonian, ground_sector)
 from .eigensolve import ConvergenceError, ground_state
-from .entanglement import dsb, negativity, reduce_state, von_neumann
-from .observables import Series, correlator_x, finite_difference, magnetization_x
+from .entanglement import (InvalidStateError, dsb, negativity, reduce_state,
+                           von_neumann)
+from .observables import (Series, SymmetryViolationError, correlator_x,
+                          finite_difference, magnetization_x)
+
+_log = logging.getLogger("atxxz")
 
 CSV_HEADER = "model,chain_spins,delta,beta,block,quantity,value,converged"
 
@@ -60,9 +66,12 @@ class SweepSpec:
             if base not in BASE_QUANTITIES or (
                     ":" in q and q.split(":", 1)[0] not in ("d1", "d2")):
                 raise ValueError(f"unknown quantity {q!r}")
+        if any(":" in q for q in self.quantities) and len(self.grid()) < 3:
+            raise ValueError("derivative quantities need at least 3 grid points")
 
     def grid(self):
-        n = int(round((self.stop - self.start) / self.step)) + 1
+        # the tolerance absorbs float drift in (stop - start) / step
+        n = math.floor((self.stop - self.start) / self.step + 1e-9) + 1
         return self.start + self.step * np.arange(n)
 
 
@@ -116,25 +125,27 @@ def _evaluate_point(spec, value, base_quantities, sites):
     try:
         h = build_hamiltonian(p, ground_sector(p))
         res = ground_state(h, k=2, tol=spec.tol, seed=spec.seed)
-    except ConvergenceError:
+        psi = res.ground_state
+        out = {}
+        rho = None
+        for q in base_quantities:
+            if q == "energy":
+                out[q] = res.ground_energy
+                continue
+            if q in ("m", "g"):
+                out[q] = magnetization_x(psi, p) if q == "m" else correlator_x(psi, p)
+                continue
+            if rho is None:
+                rho = reduce_state(psi, sites)
+            if q == "entropy":
+                out[q] = von_neumann(rho)
+            else:
+                half = sites[:max(1, len(sites) // 2)]
+                out[q] = negativity(rho, half) if q == "negativity" else dsb(rho, half)
+    except (ConvergenceError, SymmetryViolationError, InvalidStateError) as exc:
+        _log.warning("%s, %d spins, %s=%.12g: %s: %s", p.model, p.n_spins,
+                     spec.sweep, value, type(exc).__name__, exc)
         return p, {q: float("nan") for q in base_quantities}, False
-    psi = res.ground_state
-    out = {}
-    rho = None
-    for q in base_quantities:
-        if q == "energy":
-            out[q] = res.ground_energy
-            continue
-        if q in ("m", "g"):
-            out[q] = magnetization_x(psi, p) if q == "m" else correlator_x(psi, p)
-            continue
-        if rho is None:
-            rho = reduce_state(psi, sites)
-        if q == "entropy":
-            out[q] = von_neumann(rho)
-        else:
-            half = sites[:max(1, len(sites) // 2)]
-            out[q] = negativity(rho, half) if q == "negativity" else dsb(rho, half)
     return p, out, True
 
 

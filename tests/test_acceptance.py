@@ -52,7 +52,7 @@ def at_point(m_sites, delta, beta):
     """Ground-state scalars of one Ashkin-Teller chain."""
     p = ModelParams(ASHKIN_TELLER, m_sites, delta=delta, beta=beta)
     h = build_hamiltonian(p, ground_sector(p))
-    res = ground_state(h, k=1, seed=0, dense_cutoff=256)
+    res = ground_state(h, k=1, seed=0)
     psi = res.ground_state
     rho_f = reduce_state(psi, (0, 1))
     out = {
@@ -77,7 +77,7 @@ def at_scan(m_sites, grid, beta=1.0):
 def xxz_nn_negativity(m_sites, delta, beta=1.0):
     p = ModelParams(STAGGERED_XXZ, m_sites, delta=delta, beta=beta)
     h = build_hamiltonian(p, ground_sector(p))
-    res = ground_state(h, k=1, seed=0, dense_cutoff=256)
+    res = ground_state(h, k=1, seed=0)
     return negativity(reduce_state(res.ground_state, (0, 1)), (0,))
 
 
@@ -218,7 +218,7 @@ def test_criterion_07_negativity_maximum():
 def _dimer_limit_state():
     p = ModelParams(STAGGERED_XXZ, 6, delta=1.0, beta=100.0)
     h = build_hamiltonian(p, ground_sector(p))
-    return ground_state(h, k=1, seed=0, dense_cutoff=256).ground_state
+    return ground_state(h, k=1, seed=0).ground_state
 
 
 def test_criterion_08a_dimer_limit_entropy():
@@ -248,7 +248,7 @@ def _quartet_entropy_beta_curve(m_sites, grid):
     for b in grid:
         p = ModelParams(ASHKIN_TELLER, m_sites, delta=5.0, beta=float(b))
         h = build_hamiltonian(p, ground_sector(p))
-        psi = ground_state(h, k=1, seed=0, dense_cutoff=256).ground_state
+        psi = ground_state(h, k=1, seed=0).ground_state
         vals.append(von_neumann(reduce_state(psi, (0, 1, 2, 3))))
     return np.array(vals)
 

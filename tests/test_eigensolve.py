@@ -88,7 +88,7 @@ class TestLanczos:
         # the dense path resolves and flags exact degeneracy; single-vector
         # Lanczos sees only one copy but still returns the right ground energy
         mat = np.diag([-2.0, -2.0, 0.5, 1.0, 3.0, 4.0, 5.0, 6.0])
-        res_d = ground_state(_DenseWrapper(mat), k=2, dense_cutoff=64)
+        res_d = ground_state(_DenseWrapper(mat), k=2)
         assert res_d.degenerate
         assert np.allclose(res_d.energies, [-2.0, -2.0], atol=1e-12)
         res_l = lanczos_ground(_DenseWrapper(mat), k=2, seed=0)
@@ -137,7 +137,7 @@ class TestGroundState:
         assert all(res.converged)
 
     def test_lanczos_path_above_cutoff(self):
-        h = _DenseWrapper(random_sym(64, 2))
-        res = ground_state(h, k=2, dense_cutoff=16)
+        h = _DenseWrapper(random_sym(200, 2))
+        res = ground_state(h, k=2)
         w = np.linalg.eigvalsh(h.mat)
         assert np.allclose(res.energies, w[:2], atol=1e-9)

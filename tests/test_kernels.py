@@ -1,54 +1,35 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from atxxz import ModelParams, build_basis, build_hamiltonian, ground_sector
-from atxxz import kernels
+from atxxz import ModelParams, build_hamiltonian, ground_sector
 from atxxz.models import ASHKIN_TELLER, STAGGERED_XXZ
+from test_models import at_dense_oracle, xxz_dense_oracle
 
 
-def _csr(triplets, dim):
-    m = sp.csr_matrix((triplets[2], (triplets[0], triplets[1])), shape=(dim, dim))
-    m.sum_duplicates()
-    return m
+def _sector_deviation(model, oracle, m_sites, delta, beta):
+    """Kernel build on the ground-sector basis vs the restricted Pauli oracle.
 
-
-def _xxz_args(p, basis):
-    n = p.n_spins
-    bond_a, bond_b, coup = [], [], []
-    for j in range(p.m_sites):
-        bond_a += [2 * j, 2 * j + 1]
-        bond_b += [2 * j + 1, (2 * j + 2) % n]
-        coup += [p.j_coupling, p.j_coupling * p.beta]
-    return (basis.states, np.asarray(bond_a, dtype=np.int64),
-            np.asarray(bond_b, dtype=np.int64), np.asarray(coup, dtype=float),
-            p.delta)
+    On a sector basis the kernels find flipped states by binary search, which
+    the Full-basis oracle tests in test_models only exercise as the identity.
+    """
+    p = ModelParams(model, m_sites, delta=delta, beta=beta)
+    h = build_hamiltonian(p, ground_sector(p))
+    states = h.basis.states
+    return np.abs(h.dense() - oracle(p)[np.ix_(states, states)]).max()
 
 
 @pytest.mark.parametrize("m_sites", [1, 2, 3, 4])
 @pytest.mark.parametrize("delta,beta", [(0.0, 1.0), (1.0, 1.0), (-0.4, 1.7)])
 def test_xxz_paths_agree(m_sites, delta, beta):
-    p = ModelParams(STAGGERED_XXZ, m_sites, delta=delta, beta=beta)
-    basis = build_basis(p.n_spins, ground_sector(p))
-    args = _xxz_args(p, basis)
-    a = _csr(kernels.xxz_entries(*args), basis.dim)
-    b = _csr(kernels.xxz_entries_numpy(*args), basis.dim)
-    assert abs(a - b).max() < 1e-14
+    assert _sector_deviation(STAGGERED_XXZ, xxz_dense_oracle,
+                             m_sites, delta, beta) < 1e-12
 
 
 @pytest.mark.parametrize("m_sites", [1, 2, 3, 4])
 @pytest.mark.parametrize("delta,beta", [(0.0, 1.0), (1.0, 1.0), (-0.4, 1.7)])
 def test_at_paths_agree(m_sites, delta, beta):
-    p = ModelParams(ASHKIN_TELLER, m_sites, delta=delta, beta=beta)
-    basis = build_basis(p.n_spins, ground_sector(p), frame="x")
-    args = (basis.states, m_sites, p.j_coupling, p.beta, p.delta)
-    a = _csr(kernels.at_entries(*args), basis.dim)
-    b = _csr(kernels.at_entries_numpy(*args), basis.dim)
-    assert abs(a - b).max() < 1e-14
+    assert _sector_deviation(ASHKIN_TELLER, at_dense_oracle,
+                             m_sites, delta, beta) < 1e-12
 
 
 def test_hamiltonians_symmetric():
@@ -56,18 +37,3 @@ def test_hamiltonians_symmetric():
         p = ModelParams(model, 3, delta=0.8, beta=1.4)
         h = build_hamiltonian(p, ground_sector(p)).dense()
         assert np.abs(h - h.T).max() < 1e-14
-
-
-def test_disable_flag_selects_numpy():
-    env = dict(os.environ, ATXXZ_DISABLE_NUMBA="1")
-    code = ("import atxxz.kernels as k; "
-            "assert not k.NUMBA_ENABLED; "
-            "assert k.xxz_entries is k.xxz_entries_numpy")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-
-def test_numba_requested_reflects_env(monkeypatch):
-    monkeypatch.delenv("ATXXZ_DISABLE_NUMBA", raising=False)
-    assert kernels.numba_requested()
-    monkeypatch.setenv("ATXXZ_DISABLE_NUMBA", "1")
-    assert not kernels.numba_requested()

@@ -64,14 +64,16 @@ class TestModelParams:
 
 class TestBuildHamiltonian:
     @pytest.mark.parametrize("m_sites", [1, 2, 3])
-    @pytest.mark.parametrize("delta,beta", [(1.0, 1.0), (0.3, 1.6), (-0.5, 0.5)])
+    @pytest.mark.parametrize("delta,beta", [(1.0, 1.0), (0.3, 1.6), (-0.5, 0.5),
+                                            (-0.4, 1.7)])
     def test_xxz_matches_dense_oracle(self, m_sites, delta, beta):
         p = ModelParams(STAGGERED_XXZ, m_sites, delta=delta, beta=beta)
         h = build_hamiltonian(p, Full()).dense()
         assert np.abs(h - xxz_dense_oracle(p)).max() < 1e-12
 
     @pytest.mark.parametrize("m_sites", [1, 2, 3])
-    @pytest.mark.parametrize("delta,beta", [(1.0, 1.0), (0.3, 1.6), (-0.5, 0.5)])
+    @pytest.mark.parametrize("delta,beta", [(1.0, 1.0), (0.3, 1.6), (-0.5, 0.5),
+                                            (-0.4, 1.7)])
     def test_at_matches_dense_oracle(self, m_sites, delta, beta):
         p = ModelParams(ASHKIN_TELLER, m_sites, delta=delta, beta=beta)
         h = build_hamiltonian(p, Full()).dense()

@@ -1,9 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
 
 from atxxz import cli
 from atxxz.eigensolve import ConvergenceError
+from atxxz.entanglement import InvalidStateError
 from atxxz.models import ASHKIN_TELLER, STAGGERED_XXZ
+from atxxz.observables import SymmetryViolationError
 from atxxz.sweeps import (SweepSpec, figure_presets, read_csv, resolve_block,
                           run_sweep, write_csv)
 import atxxz.sweeps as sweeps_mod
@@ -26,6 +30,18 @@ class TestSweepSpec:
         g = small_spec(start=0.5, stop=1.5, step=0.025).grid()
         assert len(g) == 41
         assert g[-1] == pytest.approx(1.5, abs=1e-12)
+
+    @pytest.mark.parametrize("start,stop,step", [
+        (0.0, 1.0, 0.6), (0.5, 0.7, 0.15), (-0.5, 2.0, 0.3), (0.5, 1.5, 0.025)])
+    def test_grid_never_passes_stop(self, start, stop, step):
+        g = small_spec(start=start, stop=stop, step=step).grid()
+        assert g.max() <= stop + 1e-12
+        assert g[-1] > stop - step  # and it stops less than one step short
+
+    def test_derivative_needs_three_points(self):
+        with pytest.raises(ValueError, match="3 grid points"):
+            small_spec(stop=0.55, step=0.05, quantities=("d1:entropy",))
+        assert len(small_spec(stop=0.55, step=0.05).grid()) == 2
 
     @pytest.mark.parametrize("kw", [
         {"sweep": "gamma"}, {"step": 0.0}, {"start": 2.0, "stop": 1.0},
@@ -101,6 +117,22 @@ class TestRunSweep:
         assert flags["d1:entropy"] == [False, False, True, True, True]
         assert flags["d2:entropy"] == [False, False, True, True, True]
         assert all(np.isfinite(r.value) == r.converged for r in result.rows)
+
+    @pytest.mark.parametrize("error", [SymmetryViolationError,
+                                       InvalidStateError])
+    def test_bad_point_becomes_nan_row(self, monkeypatch, caplog, error):
+        real = sweeps_mod.magnetization_x
+
+        def fail_middle_point(psi, p):
+            if abs(p.delta - 0.6) < 1e-9:
+                raise error("forced")
+            return real(psi, p)
+        monkeypatch.setattr(sweeps_mod, "magnetization_x", fail_middle_point)
+        with caplog.at_level(logging.WARNING, logger="atxxz"):
+            result = run_sweep(small_spec(quantities=("energy", "m")))
+        assert [r.converged for r in result.rows] == [True, False, True] * 2
+        assert all(np.isnan(r.value) != r.converged for r in result.rows)
+        assert "delta=0.6" in caplog.text and error.__name__ in caplog.text
 
     def test_threads_match_serial(self):
         serial = run_sweep(small_spec(threads=1))
@@ -205,6 +237,9 @@ class TestCli:
         assert cli.main(["figure", "fig99"]) == 1
         assert cli.main(["sweep", "--block", "no-such-preset"]) == 1
         assert cli.main(["spectrum", "--levels", "0"]) == 1
+        capsys.readouterr()
+        assert cli.main(["info", "--m-sites", "15"]) == 1  # 30 > MAX_SPINS
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):
@@ -213,6 +248,18 @@ class TestCli:
         code = cli.main(["sweep", "--m-sites", "2", "--range", "0.5:0.6:0.1",
                          "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    def test_bad_point_writes_csv_and_exits_2(self, tmp_path, monkeypatch,
+                                              capsys):
+        def boom(*a, **k):
+            raise SymmetryViolationError("forced")
+        monkeypatch.setattr(sweeps_mod, "magnetization_x", boom)
+        out = tmp_path / "x.csv"
+        code = cli.main(["sweep", "--m-sites", "2", "--range", "0.5:0.6:0.1",
+                         "--quantity", "m", "--out", str(out)])
+        assert code == 2
+        rows = read_csv(str(out))
+        assert len(rows) == 2 and not any(r.converged for r in rows)
 
     def test_config_defaults_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
