@@ -5,7 +5,6 @@ failure.
 """
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -98,14 +97,12 @@ def _build_parser():
     p_sweep.add_argument("--quantity", action="append", default=None,
                          help="repeatable; e.g. entropy, negativity, d1:entropy")
     p_sweep.add_argument("--out", default="sweep.csv")
-    p_sweep.add_argument("--threads", type=int, default=None)
 
     p_fig = add_parser("figure", help="named figure-reproduction preset")
     p_fig.add_argument("name", choices=FIGURES)
     p_fig.add_argument("--out", default=".", help="output directory")
     p_fig.add_argument("--full", action="store_true",
                        help="use the original 20-spin chain sizes")
-    p_fig.add_argument("--threads", type=int, default=None)
 
     p_spec = add_parser("spectrum", help="low-lying energies of one chain")
     common(p_spec)
@@ -134,7 +131,7 @@ def _cmd_sweep(args):
         start=start, stop=stop, step=step, delta=args.delta, beta=args.beta,
         quantities=tuple(quantities),
         block=_parse_block(args.block), out=args.out, tol=args.tol,
-        seed=args.seed, threads=args.threads)
+        seed=args.seed)
     result = run_sweep(spec)
     bad = sum(1 for r in result.rows if not r.converged)
     print(f"wrote {len(result.rows)} rows to {args.out}"
@@ -145,8 +142,6 @@ def _cmd_sweep(args):
 def _cmd_figure(args):
     code = EXIT_OK
     for spec in figure_presets(args.name, full=args.full, out_dir=args.out):
-        if args.threads:
-            spec = dataclasses.replace(spec, threads=args.threads)
         result = run_sweep(spec)
         bad = sum(1 for r in result.rows if not r.converged)
         print(f"{spec.out}: {len(result.rows)} rows"
@@ -165,14 +160,14 @@ def _cmd_spectrum(args):
     if args.levels <= 2:
         res = ground_state(h, k=args.levels, tol=args.tol, seed=args.seed)
     elif h.dim <= DENSE_LIMIT:
-        res = dense_spectrum(h)
+        res = dense_spectrum(h, k=args.levels)
     else:
         raise _ArgumentError(
             f"--levels {args.levels} needs the dense solver, which is limited "
             f"to dimension {DENSE_LIMIT} (this chain has {h.dim}); "
             f"use --levels 2 or fewer")
     print(f"model={p.model} spins={p.n_spins} sector={sector} dim={h.dim}")
-    for i, e in enumerate(res.energies[:args.levels]):
+    for i, e in enumerate(res.energies):
         print(f"E{i} = {e:.12f}")
     if res.degenerate:
         print("note: near-degenerate ground state")

@@ -45,17 +45,21 @@ class EigenResult:
         return self.states[0]
 
 
-def dense_spectrum(h):
-    """Full symmetric eigendecomposition; oracle for small dimensions."""
+def dense_spectrum(h, k=None):
+    """Full symmetric eigendecomposition; oracle for small dimensions.
+
+    Returns the lowest ``k`` levels (all by default); the gap and the
+    degeneracy flag come from the whole spectrum.
+    """
     if h.dim > DENSE_LIMIT:
         raise CapacityError(f"dense solve refused at dimension {h.dim} > {DENSE_LIMIT}")
     w, v = np.linalg.eigh(h.dense())
+    k = len(w) if k is None else min(k, len(w))
     states = [QuantumState(v[:, i].copy(), h.basis, float(w[i]))
-              for i in range(len(w))]
-    residuals = np.zeros(len(w))
+              for i in range(k)]
     gap = float(w[1] - w[0]) if len(w) > 1 else None
     degenerate = gap is not None and gap < GAP_TOL_REL * max(abs(w[0]), 1.0)
-    return EigenResult(w, states, residuals, [True] * len(w), gap, degenerate)
+    return EigenResult(w[:k], states, np.zeros(k), [True] * k, gap, degenerate)
 
 
 def lanczos_ground(h, k=1, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
@@ -113,9 +117,6 @@ def lanczos_ground(h, k=1, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
 
 def ground_state(h, k=2, tol=DEFAULT_TOL, seed=0):
     """Convenience ground-state solve: dense up to DENSE_CUTOFF, else ARPACK."""
-    k = min(k, h.dim)
     if h.dim <= DENSE_CUTOFF:
-        res = dense_spectrum(h)
-        return EigenResult(res.energies[:k], res.states[:k], res.residuals[:k],
-                           res.converged[:k], res.gap, res.degenerate)
+        return dense_spectrum(h, k=k)
     return lanczos_ground(h, k=k, tol=tol, seed=seed)

@@ -64,7 +64,14 @@ class SparseHamiltonian:
 
 
 def ground_sector(p):
-    """Symmetry sector containing the ground state."""
+    """Symmetry sector containing the ground state; refused for delta < -1.
+
+    Below -1 the ground state leaves it (against the full spectrum: XXZ
+    from delta = -1.05, Ashkin-Teller from -1.1).
+    """
+    if p.delta < -1:
+        raise ValueError(f"delta = {p.delta:g} < -1 leaves the ground sector; "
+                         "use `atxxz spectrum --sector full`")
     if p.model == ASHKIN_TELLER:
         return XParity(1, 1)
     return SzFixed(p.m_sites)

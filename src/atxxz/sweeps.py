@@ -4,8 +4,7 @@ import logging
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,6 +51,7 @@ class SweepSpec:
     out: Optional[str] = None
     tol: float = 1e-10
     seed: int = 0
+    # ignored, since sweeps run serially; perfbench/layer_report.py still sets it
     threads: Optional[int] = None
 
     def __post_init__(self):
@@ -68,6 +68,9 @@ class SweepSpec:
                 raise ValueError(f"unknown quantity {q!r}")
         if any(":" in q for q in self.quantities) and len(self.grid()) < 3:
             raise ValueError("derivative quantities need at least 3 grid points")
+        # refuse a grid that leaves the ground sector's domain before any solve
+        ground_sector(ModelParams(self.model, self.m_sites, self.j_coupling,
+                                  self.start if self.sweep == "delta" else self.delta))
 
     def grid(self):
         # the tolerance absorbs float drift in (stop - start) / step
@@ -117,13 +120,9 @@ def resolve_block(block, model, n_spins):
     return label, sites
 
 
-def _evaluate_point(spec, value, base_quantities, sites):
-    p = ModelParams(
-        spec.model, spec.m_sites, j_coupling=spec.j_coupling,
-        delta=value if spec.sweep == "delta" else spec.delta,
-        beta=value if spec.sweep == "beta" else spec.beta)
+def _evaluate_point(spec, h, base_quantities, sites):
+    p = h.params
     try:
-        h = build_hamiltonian(p, ground_sector(p))
         res = ground_state(h, k=2, tol=spec.tol, seed=spec.seed)
         psi = res.ground_state
         out = {}
@@ -144,7 +143,7 @@ def _evaluate_point(spec, value, base_quantities, sites):
                 out[q] = negativity(rho, half) if q == "negativity" else dsb(rho, half)
     except (ConvergenceError, SymmetryViolationError, InvalidStateError) as exc:
         _log.warning("%s, %d spins, %s=%.12g: %s: %s", p.model, p.n_spins,
-                     spec.sweep, value, type(exc).__name__, exc)
+                     spec.sweep, getattr(p, spec.sweep), type(exc).__name__, exc)
         return p, {q: float("nan") for q in base_quantities}, False
     return p, out, True
 
@@ -156,10 +155,21 @@ def run_sweep(spec):
     grid = spec.grid()
     base = sorted({q.split(":", 1)[-1] for q in spec.quantities})
 
-    workers = spec.threads or min(4, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        points = list(pool.map(
-            lambda v: _evaluate_point(spec, v, base, sites), grid))
+    # H(x) = A + x B with one sparsity pattern: build twice, then rewrite data
+    p = ModelParams(spec.model, spec.m_sites, spec.j_coupling, spec.delta, spec.beta)
+    p0, p1 = (replace(p, **{spec.sweep: x}) for x in (0.0, 1.0))
+    a = build_hamiltonian(p0, ground_sector(p0)).matrix
+    h = build_hamiltonian(p1, ground_sector(p1))
+    if not (np.array_equal(a.indptr, h.matrix.indptr)
+            and np.array_equal(a.indices, h.matrix.indices)):
+        raise RuntimeError(f"{spec.model} sparsity pattern depends on {spec.sweep}")
+    a, b = a.data, h.matrix.data - a.data
+    points = []
+    for x in grid:
+        np.multiply(b, x, out=h.matrix.data)
+        h.matrix.data += a
+        h.params = replace(p, **{spec.sweep: x})
+        points.append(_evaluate_point(spec, h, base, sites))
 
     result = SweepResult(spec)
     values = {q: np.array([pt[1][q] for pt in points]) for q in base}
@@ -175,11 +185,9 @@ def run_sweep(spec):
             col_conv = ~np.isnan(finite_difference(marks, order=order).values)
         else:
             col, col_conv = values[q], conv
-        for i, v in enumerate(grid):
-            p = points[i][0]
-            result.rows.append(Row(
-                spec.model, n_spins, p.delta, p.beta, label, q,
-                float(col[i]), bool(col_conv[i])))
+        for (p, _, _), v, ok in zip(points, col, col_conv):
+            result.rows.append(Row(spec.model, n_spins, p.delta, p.beta,
+                                   label, q, float(v), bool(ok)))
     if spec.out:
         write_csv(result, spec.out)
     return result

@@ -43,6 +43,14 @@ class TestDense:
         assert np.allclose(res.energies, w, atol=1e-12)
         assert res.gap == pytest.approx(w[1] - w[0])
 
+    def test_lowest_k_levels(self):
+        h = _DenseWrapper(random_sym(40, 0))
+        full, low = dense_spectrum(h), dense_spectrum(h, k=3)
+        assert len(low.energies) == len(low.states) == len(low.residuals) == 3
+        assert np.array_equal(low.energies, full.energies[:3])
+        assert (low.gap, low.degenerate) == (full.gap, full.degenerate)
+        assert len(dense_spectrum(h, k=99).states) == 40
+
     def test_capacity_refusal(self):
         p = ModelParams(STAGGERED_XXZ, 7, delta=1.0)
         h = build_hamiltonian(p, Full())  # dim 16384

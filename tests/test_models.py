@@ -109,13 +109,24 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError):
             build_hamiltonian(ModelParams(STAGGERED_XXZ, 2), XParity(1, 1))
 
+    @pytest.mark.parametrize("model", [ASHKIN_TELLER, STAGGERED_XXZ])
+    def test_ground_sector_refuses_delta_below_minus_one(self, model):
+        with pytest.raises(ValueError, match="--sector full"):
+            ground_sector(ModelParams(model, 3, delta=-1.05))
+
     def test_ground_sector_contains_ground_state(self):
+        # over the accepted domain delta >= -1 (the XXZ sector fails at -1.05)
+        points = [(0.9, 1.1)] + [(d, b) for b in (0.25, 1.0, 4.0)
+                                 for d in np.linspace(-1.0, 3.0, 17)]
         for model in (ASHKIN_TELLER, STAGGERED_XXZ):
-            p = ModelParams(model, 3, delta=0.9, beta=1.1)
-            e_full = dense_spectrum(build_hamiltonian(p, Full())).ground_energy
-            e_sec = dense_spectrum(
-                build_hamiltonian(p, ground_sector(p))).ground_energy
-            assert e_sec == pytest.approx(e_full, abs=1e-10)
+            for m_sites in (2, 3):
+                for delta, beta in points:
+                    p = ModelParams(model, m_sites, delta=delta, beta=beta)
+                    e_full = dense_spectrum(
+                        build_hamiltonian(p, Full())).ground_energy
+                    e_sec = dense_spectrum(
+                        build_hamiltonian(p, ground_sector(p))).ground_energy
+                    assert e_sec == pytest.approx(e_full, abs=1e-10)
 
 
 class TestClassifySector:

@@ -3,10 +3,12 @@ import logging
 import numpy as np
 import pytest
 
-from atxxz import cli
-from atxxz.eigensolve import ConvergenceError
-from atxxz.entanglement import InvalidStateError
-from atxxz.models import ASHKIN_TELLER, STAGGERED_XXZ
+from atxxz import cli, kernels
+from atxxz.eigensolve import ConvergenceError, ground_state
+from atxxz.entanglement import (InvalidStateError, negativity, reduce_state,
+                                von_neumann)
+from atxxz.models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
+                          ground_sector)
 from atxxz.observables import SymmetryViolationError
 from atxxz.sweeps import (SweepSpec, figure_presets, read_csv, resolve_block,
                           run_sweep, write_csv)
@@ -49,6 +51,14 @@ class TestSweepSpec:
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
             small_spec(**kw)
+
+    def test_refuses_delta_below_ground_sector_domain(self):
+        with pytest.raises(ValueError, match="--sector full"):
+            small_spec(start=-1.05, stop=0.0, step=0.05)
+        with pytest.raises(ValueError, match="--sector full"):
+            small_spec(sweep="beta", delta=-1.05)
+        small_spec(start=-1.0, stop=0.0, step=0.05)
+        small_spec(delta=-3.0)  # the fixed delta is not used on a delta sweep
 
 
 class TestResolveBlock:
@@ -134,11 +144,44 @@ class TestRunSweep:
         assert all(np.isnan(r.value) != r.converged for r in result.rows)
         assert "delta=0.6" in caplog.text and error.__name__ in caplog.text
 
-    def test_threads_match_serial(self):
-        serial = run_sweep(small_spec(threads=1))
-        parallel = run_sweep(small_spec(threads=3))
-        for a, b in zip(serial.rows, parallel.rows):
-            assert a == b
+    @pytest.mark.parametrize("m_sites", [1, 2, 3])
+    @pytest.mark.parametrize("sweep", ["delta", "beta"])
+    @pytest.mark.parametrize("model", [ASHKIN_TELLER, STAGGERED_XXZ])
+    def test_rows_match_per_point_builds(self, monkeypatch, model, sweep,
+                                         m_sites):
+        builds = []
+        real = sweeps_mod.build_hamiltonian
+
+        def counted(p, sector):
+            builds.append(p)
+            return real(p, sector)
+        monkeypatch.setattr(sweeps_mod, "build_hamiltonian", counted)
+        spec = small_spec(model=model, m_sites=m_sites, sweep=sweep,
+                          start=-0.4, stop=0.4, step=0.2, delta=0.7, beta=1.2,
+                          j_coupling=1.3, block=(0, 1),
+                          quantities=("energy", "entropy", "negativity"))
+        rows = run_sweep(spec).rows
+        assert len(builds) == 2  # H(0) and H(1), whatever the grid length
+        for i, x in enumerate(spec.grid()):
+            p = ModelParams(model, m_sites, j_coupling=1.3,
+                            **{"delta": 0.7, "beta": 1.2, sweep: x})
+            res = ground_state(real(p, ground_sector(p)), k=2, seed=0)
+            rho = reduce_state(res.ground_state, (0, 1))
+            want = (res.ground_energy, von_neumann(rho), negativity(rho, (0,)))
+            for r, w in zip(rows[i::len(spec.grid())], want):
+                assert (r.delta, r.beta) == (p.delta, p.beta) and r.converged
+                assert abs(r.value - w) <= 1e-12
+
+    def test_pattern_guard(self, monkeypatch):
+        real = kernels.at_entries
+
+        def drop_zeros(*args):
+            rows, cols, vals = real(*args)
+            keep = vals != 0  # a pattern that depends on delta
+            return rows[keep], cols[keep], vals[keep]
+        monkeypatch.setattr(kernels, "at_entries", drop_zeros)
+        with pytest.raises(RuntimeError, match="sparsity pattern"):
+            run_sweep(small_spec())
 
 
 class TestCsv:
@@ -237,6 +280,12 @@ class TestCli:
         assert cli.main(["figure", "fig99"]) == 1
         assert cli.main(["sweep", "--block", "no-such-preset"]) == 1
         assert cli.main(["spectrum", "--levels", "0"]) == 1
+        assert cli.main(["sweep", "--threads", "2"]) == 1
+        assert cli.main(["figure", "fig6", "--threads", "2"]) == 1
+        assert cli.main(["sweep", "--range=-1.05:0:0.05"]) == 1
+        capsys.readouterr()
+        assert cli.main(["spectrum", "--delta=-1.05"]) == 1
+        assert "--sector full" in capsys.readouterr().err
         capsys.readouterr()
         assert cli.main(["info", "--m-sites", "15"]) == 1  # 30 > MAX_SPINS
         assert capsys.readouterr().err.startswith("error:")
