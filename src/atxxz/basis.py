@@ -6,7 +6,6 @@ frame ("z" frame: sigma^z = +1, i.e. spin up; "x" frame: sigma^x = +1).
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -49,16 +48,7 @@ class XParity:
 
 def popcount(x):
     """Number of set bits; works elementwise on integer arrays."""
-    x = np.asarray(x)
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(x).astype(np.int64)
-    # SWAR fallback for 64-bit integers
-    x = x.astype(np.uint64).copy()
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + (
-        (x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
+    return np.bitwise_count(np.asarray(x)).astype(np.int64)
 
 
 @dataclass(eq=False)
@@ -133,14 +123,13 @@ class QuantumState:
 
     amplitudes: np.ndarray
     basis: SpinBasis
-    energy: Optional[float] = None
 
     @property
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
 
     def normalized(self):
-        return QuantumState(self.amplitudes / self.norm, self.basis, self.energy)
+        return QuantumState(self.amplitudes / self.norm, self.basis)
 
     def expand_full(self):
         """Embed a sector-restricted state into the full 2^n space."""
@@ -149,7 +138,7 @@ class QuantumState:
         full = build_basis(self.basis.n_spins, Full(), frame=self.basis.frame)
         amps = np.zeros(full.dim, dtype=self.amplitudes.dtype)
         amps[self.basis.states] = self.amplitudes
-        return QuantumState(amps, full, self.energy)
+        return QuantumState(amps, full)
 
 
 # --- Pauli strings --------------------------------------------------------

@@ -7,14 +7,11 @@ failure.
 import argparse
 import sys
 
-import numpy as np
-
 from . import __version__
 from .basis import CapacityError, Full, build_basis
-from .models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
-                     build_hamiltonian, ground_sector)
-from .eigensolve import (DENSE_LIMIT, ConvergenceError, dense_spectrum,
-                         ground_state)
+from .models import (ASHKIN_TELLER, FRAMES, ModelParams, build_hamiltonian,
+                     ground_sector)
+from .eigensolve import ConvergenceError, ground_state
 from .sweeps import SweepSpec, figure_presets, run_sweep
 from . import verify as verify_mod
 
@@ -24,8 +21,6 @@ EXIT_SOLVER = 2
 EXIT_VERIFY = 3
 
 FIGURES = ("fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10")
-SUITES = ("link-algebra", "constraints", "energy", "density",
-          "spectral-inclusion", "all")
 
 
 class _ArgumentError(Exception):
@@ -78,8 +73,7 @@ def _build_parser():
         return p
 
     def common(p):
-        p.add_argument("--model", choices=(ASHKIN_TELLER, STAGGERED_XXZ),
-                       default=ASHKIN_TELLER)
+        p.add_argument("--model", choices=tuple(FRAMES), default=ASHKIN_TELLER)
         p.add_argument("--m-sites", type=int, default=4,
                        help="M; the chain carries 2M spins")
         p.add_argument("--delta", type=float, default=1.0)
@@ -110,7 +104,7 @@ def _build_parser():
     p_spec.add_argument("--levels", type=int, default=2)
 
     p_ver = add_parser("verify", help="equivalence and algebra checks")
-    p_ver.add_argument("suites", nargs="+", choices=SUITES)
+    p_ver.add_argument("suites", nargs="+", choices=(*verify_mod.SUITE_MAX_M, "all"))
     p_ver.add_argument("--m", dest="m_sites", type=int, default=3)
     p_ver.add_argument("--delta", type=float, default=1.0)
     p_ver.add_argument("--beta", type=float, default=1.0)
@@ -119,6 +113,13 @@ def _build_parser():
     p_info = add_parser("info", help="build and capacity information")
     common(p_info)
     return parser, subparsers
+
+
+def _rows_exit(rows, head):
+    """Print ``head`` with the unconverged-row count; exit 2 if there are any."""
+    bad = sum(1 for r in rows if not r.converged)
+    print(head + (f" ({bad} unconverged)" if bad else ""))
+    return EXIT_SOLVER if bad else EXIT_OK
 
 
 def _cmd_sweep(args):
@@ -132,40 +133,23 @@ def _cmd_sweep(args):
         quantities=tuple(quantities),
         block=_parse_block(args.block), out=args.out, tol=args.tol,
         seed=args.seed)
-    result = run_sweep(spec)
-    bad = sum(1 for r in result.rows if not r.converged)
-    print(f"wrote {len(result.rows)} rows to {args.out}"
-          + (f" ({bad} unconverged)" if bad else ""))
-    return EXIT_SOLVER if bad else EXIT_OK
+    rows = run_sweep(spec).rows
+    return _rows_exit(rows, f"wrote {len(rows)} rows to {args.out}")
 
 
 def _cmd_figure(args):
     code = EXIT_OK
     for spec in figure_presets(args.name, full=args.full, out_dir=args.out):
-        result = run_sweep(spec)
-        bad = sum(1 for r in result.rows if not r.converged)
-        print(f"{spec.out}: {len(result.rows)} rows"
-              + (f" ({bad} unconverged)" if bad else ""))
-        if bad:
-            code = EXIT_SOLVER
+        rows = run_sweep(spec).rows
+        code = max(code, _rows_exit(rows, f"{spec.out}: {len(rows)} rows"))
     return code
 
 
 def _cmd_spectrum(args):
     p = ModelParams(args.model, args.m_sites, delta=args.delta, beta=args.beta)
     sector = ground_sector(p) if args.sector == "ground" else Full()
-    if args.levels < 1:
-        raise _ArgumentError("--levels must be at least 1")
     h = build_hamiltonian(p, sector)
-    if args.levels <= 2:
-        res = ground_state(h, k=args.levels, tol=args.tol, seed=args.seed)
-    elif h.dim <= DENSE_LIMIT:
-        res = dense_spectrum(h, k=args.levels)
-    else:
-        raise _ArgumentError(
-            f"--levels {args.levels} needs the dense solver, which is limited "
-            f"to dimension {DENSE_LIMIT} (this chain has {h.dim}); "
-            f"use --levels 2 or fewer")
+    res = ground_state(h, k=args.levels, tol=args.tol, seed=args.seed)
     print(f"model={p.model} spins={p.n_spins} sector={sector} dim={h.dim}")
     for i, e in enumerate(res.energies):
         print(f"E{i} = {e:.12f}")
@@ -175,40 +159,18 @@ def _cmd_spectrum(args):
 
 
 def _cmd_verify(args):
-    suites = set(args.suites)
-    if "all" in suites:
-        suites = set(SUITES) - {"all"}
-    m = args.m_sites
-    reports = []
-    if "link-algebra" in suites:
-        for model in (ASHKIN_TELLER, STAGGERED_XXZ):
-            reports.append(verify_mod.check_link_algebra(model, min(m, 4)))
-    if "constraints" in suites:
-        for model in (ASHKIN_TELLER, STAGGERED_XXZ):
-            p = ModelParams(model, min(m, 6), delta=args.delta, beta=args.beta)
-            reports.append(verify_mod.check_constraints_on_ground_state(p))
-    if "energy" in suites:
-        reports.append(verify_mod.check_energy_equivalence(
-            args.delta, args.beta, min(m, 7)))
-    if "density" in suites:
-        reports.append(verify_mod.check_density_equality(
-            args.delta, args.beta, min(m, 6)))
-    if "spectral-inclusion" in suites:
-        reports.append(verify_mod.check_spectral_inclusion(
-            args.delta, args.beta, min(m, 3)))
-
-    lines = [r.summary() for r in reports]
-    text = "\n".join(lines)
+    reports = verify_mod.run_suites(args.suites, args.m_sites, args.delta, args.beta)
+    text = "\n".join(r.summary() for r in reports)
     print(text)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    failed = [r for r in reports if not r.passed and not np.isnan(r.max_deviation)]
-    inconclusive = [r for r in reports if np.isnan(r.max_deviation)]
+    failed = sum(not r.passed and not r.inconclusive for r in reports)
+    inconclusive = sum(r.inconclusive for r in reports)
     if inconclusive:
-        print(f"{len(inconclusive)} inconclusive check(s)")
+        print(f"{inconclusive} inconclusive check(s)")
     if failed:
-        print(f"{len(failed)} check(s) FAILED")
+        print(f"{failed} check(s) FAILED")
         return EXIT_VERIFY
     print("all checks passed")
     return EXIT_OK
@@ -217,15 +179,14 @@ def _cmd_verify(args):
 def _cmd_info(args):
     p = ModelParams(args.model, args.m_sites, delta=args.delta, beta=args.beta)
     sector = ground_sector(p)
-    basis = build_basis(p.n_spins, sector,
-                        frame="x" if p.model == ASHKIN_TELLER else "z")
+    basis = build_basis(p.n_spins, sector, frame=FRAMES[p.model])
     print(f"atxxz {__version__}")
     print(f"model={p.model} M={p.m_sites} spins={p.n_spins}")
     print(f"ground sector {sector}: dimension {basis.dim} of {1 << p.n_spins}")
     return EXIT_OK
 
 
-def _apply_config(parser, subparser, path):
+def _apply_config(subparser, path):
     defaults = _load_config(path)
     coerced = {}
     for act in subparser._actions:
@@ -250,7 +211,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.config:
             # config supplies defaults; explicit CLI flags win on the reparse
-            _apply_config(parser, subparsers[args.command], args.config)
+            _apply_config(subparsers[args.command], args.config)
             args = parser.parse_args(argv)
         handler = {"sweep": _cmd_sweep, "figure": _cmd_figure,
                    "spectrum": _cmd_spectrum, "verify": _cmd_verify,

@@ -32,7 +32,6 @@ class EigenResult:
     energies: np.ndarray
     states: List[QuantumState]
     residuals: np.ndarray
-    converged: List[bool]
     gap: Optional[float] = None
     degenerate: bool = False
 
@@ -45,6 +44,15 @@ class EigenResult:
         return self.states[0]
 
 
+def _result(h, w, v, k, residuals):
+    """EigenResult of the lowest ``k`` of the ascending pairs ``w``, ``v``;
+    the gap and the degeneracy flag read ``w[0]`` and ``w[1]``."""
+    states = [QuantumState(v[:, i].copy(), h.basis) for i in range(k)]
+    gap = float(w[1] - w[0]) if len(w) > 1 else None
+    degenerate = gap is not None and gap < GAP_TOL_REL * max(abs(w[0]), 1.0)
+    return EigenResult(w[:k], states, residuals, gap, degenerate)
+
+
 def dense_spectrum(h, k=None):
     """Full symmetric eigendecomposition; oracle for small dimensions.
 
@@ -52,14 +60,11 @@ def dense_spectrum(h, k=None):
     degeneracy flag come from the whole spectrum.
     """
     if h.dim > DENSE_LIMIT:
-        raise CapacityError(f"dense solve refused at dimension {h.dim} > {DENSE_LIMIT}")
+        raise CapacityError(f"dense solve refused at dimension {h.dim} > "
+                            f"{DENSE_LIMIT}; ARPACK solves at most 2 levels")
     w, v = np.linalg.eigh(h.dense())
     k = len(w) if k is None else min(k, len(w))
-    states = [QuantumState(v[:, i].copy(), h.basis, float(w[i]))
-              for i in range(k)]
-    gap = float(w[1] - w[0]) if len(w) > 1 else None
-    degenerate = gap is not None and gap < GAP_TOL_REL * max(abs(w[0]), 1.0)
-    return EigenResult(w[:k], states, np.zeros(k), [True] * k, gap, degenerate)
+    return _result(h, w, v, k, np.zeros(k))
 
 
 def lanczos_ground(h, k=1, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
@@ -76,10 +81,12 @@ def lanczos_ground(h, k=1, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if h.dim < k:
         raise ValueError(f"dimension {h.dim} smaller than requested k={k}")
+    if h.dim == k:  # ARPACK needs k < dim
+        return dense_spectrum(h, k)
 
     op = LinearOperator((h.dim, h.dim), matvec=h.matvec, dtype=float)
     best = np.inf
@@ -90,11 +97,8 @@ def lanczos_ground(h, k=1, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
         rng = np.random.default_rng(s)
         v0 = rng.uniform(-1.0, 1.0, h.dim)
         try:
-            if h.dim == k:  # ARPACK needs k < dim
-                theta, vectors = np.linalg.eigh(h.dense())
-            else:
-                theta, vectors = eigsh(op, k=k, which="SA", v0=v0, tol=rel_tol,
-                                       maxiter=max_iter, rng=rng)
+            theta, vectors = eigsh(op, k=k, which="SA", v0=v0, tol=rel_tol,
+                                   maxiter=max_iter, rng=rng)
         except ArpackError:  # includes ArpackNoConvergence
             # no k pairs to check: report the start vector's Rayleigh residual
             v = v0 / np.linalg.norm(v0)
@@ -104,11 +108,7 @@ def lanczos_ground(h, k=1, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
         residuals = np.array([np.linalg.norm(h.matvec(v) - t * v)
                               for t, v in zip(theta, vectors.T)])
         if residuals.max() <= tol:
-            states = [QuantumState(vectors[:, i].copy(), h.basis, float(theta[i]))
-                      for i in range(k)]
-            gap = float(theta[1] - theta[0]) if k == 2 else None
-            degenerate = gap is not None and gap < GAP_TOL_REL * max(abs(theta[0]), 1.0)
-            return EigenResult(theta, states, residuals, [True] * k, gap, degenerate)
+            return _result(h, theta, vectors, k, residuals)
         best = min(best, float(residuals.max()))
     raise ConvergenceError(
         f"eigsh residual {best:.3e} above tol {tol:.1e} after restart",
@@ -116,7 +116,16 @@ def lanczos_ground(h, k=1, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
 
 
 def ground_state(h, k=2, tol=DEFAULT_TOL, seed=0):
-    """Convenience ground-state solve: dense up to DENSE_CUTOFF, else ARPACK."""
-    if h.dim <= DENSE_CUTOFF:
+    """The lowest ``k`` levels of ``h``; the one solver entry.
+
+    Solves densely when ``h.dim <= DENSE_CUTOFF`` or ``k > 2`` (CapacityError
+    above DENSE_LIMIT), otherwise with ARPACK. ``k < 1`` and a ``tol`` that
+    is not positive are refused on both paths.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if h.dim <= DENSE_CUTOFF or k > 2:
         return dense_spectrum(h, k=k)
     return lanczos_ground(h, k=k, tol=tol, seed=seed)

@@ -19,6 +19,8 @@ from . import kernels
 
 ASHKIN_TELLER = "at"
 STAGGERED_XXZ = "xxz"
+# basis frame of each model's Hamiltonian and ground sector
+FRAMES = {ASHKIN_TELLER: "x", STAGGERED_XXZ: "z"}
 
 
 @dataclass(frozen=True)
@@ -32,10 +34,12 @@ class ModelParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.model not in (ASHKIN_TELLER, STAGGERED_XXZ):
+        if self.model not in FRAMES:
             raise ValueError(f"unknown model {self.model!r}")
         if self.m_sites < 1:
             raise ValueError("need at least one Ashkin-Teller site (two spins)")
+        if not np.all(np.isfinite([self.j_coupling, self.delta, self.beta])):
+            raise ValueError("j_coupling, delta and beta must be finite")
         if self.j_coupling <= 0:
             raise ValueError("j_coupling must be positive")
 
@@ -85,8 +89,8 @@ def build_hamiltonian(p, sector=Full()):
         raise ValueError("XParity sectors apply to the Ashkin-Teller chain only")
 
     n = p.n_spins
+    basis = build_basis(n, sector, frame=FRAMES[p.model])
     if p.model == STAGGERED_XXZ:
-        basis = build_basis(n, sector, frame="z")
         bond_a = []
         bond_b = []
         coupling = []
@@ -102,14 +106,12 @@ def build_hamiltonian(p, sector=Full()):
             np.asarray(bond_b, dtype=np.int64), np.asarray(coupling),
             float(p.delta))
     else:
-        basis = build_basis(n, sector, frame="x")
         rows, cols, vals = kernels.at_entries(
             basis.states, p.m_sites, float(p.j_coupling), float(p.beta),
             float(p.delta))
 
+    # the COO constructor sums duplicate entries and sorts the indices
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
-    mat.sum_duplicates()
-    mat.sort_indices()
     return SparseHamiltonian(basis, mat, p)
 
 

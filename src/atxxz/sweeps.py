@@ -55,22 +55,31 @@ class SweepSpec:
     threads: Optional[int] = None
 
     def __post_init__(self):
+        # everything a sweep cannot compute is refused here, before any build
         if self.sweep not in ("delta", "beta"):
             raise ValueError("sweep parameter must be 'delta' or 'beta'")
+        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
+            raise ValueError("start, stop and step must be finite")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.start >= self.stop + 1e-12:
             raise ValueError("start must be below stop")
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
         for q in self.quantities:
             base = q.split(":", 1)[-1]
             if base not in BASE_QUANTITIES or (
                     ":" in q and q.split(":", 1)[0] not in ("d1", "d2")):
                 raise ValueError(f"unknown quantity {q!r}")
+            if base in ("m", "g") and self.model != ASHKIN_TELLER:
+                raise ValueError(f"quantity {q!r} needs the Ashkin-Teller chain")
         if any(":" in q for q in self.quantities) and len(self.grid()) < 3:
             raise ValueError("derivative quantities need at least 3 grid points")
-        # refuse a grid that leaves the ground sector's domain before any solve
+        # the lowest delta must lie in the ground sector's domain
         ground_sector(ModelParams(self.model, self.m_sites, self.j_coupling,
-                                  self.start if self.sweep == "delta" else self.delta))
+                                  self.start if self.sweep == "delta" else self.delta,
+                                  self.beta))
+        resolve_block(self.block, self.model, 2 * self.m_sites)
 
     def grid(self):
         # the tolerance absorbs float drift in (stop - start) / step

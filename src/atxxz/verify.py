@@ -14,6 +14,10 @@ from .models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
 from .eigensolve import dense_spectrum, ground_state
 from .entanglement import reduce_state, von_neumann
 
+# suite name -> largest M its dense checks accept, in report order
+SUITE_MAX_M = {"link-algebra": 4, "constraints": 6, "energy": 7,
+               "density": 6, "spectral-inclusion": 3}
+
 _PAULI_2x2 = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
@@ -34,6 +38,11 @@ class VerificationReport:
     def passed(self):
         return self.max_deviation <= self.tolerance
 
+    @property
+    def inconclusive(self):
+        """A check that could not decide reports a NaN deviation."""
+        return bool(np.isnan(self.max_deviation))
+
     def summary(self):
         status = "PASS" if self.passed else "FAIL"
         par = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -53,6 +62,11 @@ def pauli_dense(string, n_spins):
     return string.coefficient * out
 
 
+def _check_size(suite, m_sites):
+    if m_sites > SUITE_MAX_M[suite]:
+        raise ValueError(f"{suite} check limited to m_sites <= {SUITE_MAX_M[suite]}")
+
+
 def _anticommuting_pair(j, k, two_m):
     """Whether eta/gamma indices j, k (1-based) are algebra neighbors."""
     return abs(j - k) == 1 or {j, k} == {1, two_m}
@@ -60,8 +74,7 @@ def _anticommuting_pair(j, k, two_m):
 
 def check_link_algebra(model, m_sites, variables=None):
     """Squares-to-identity plus all (anti)commutation cases, dense."""
-    if m_sites > 4:
-        raise ValueError("exhaustive dense algebra limited to m_sites <= 4")
+    _check_size("link-algebra", m_sites)
     p = ModelParams(model, m_sites)
     n = p.n_spins
     two_m = 2 * m_sites
@@ -93,13 +106,12 @@ def check_link_algebra(model, m_sites, variables=None):
 
 def _solved_ground(p, seed=0, tol=1e-10):
     h = build_hamiltonian(p, ground_sector(p))
-    return ground_state(h, k=min(2, h.dim), tol=tol, seed=seed)
+    return ground_state(h, tol=tol, seed=seed)
 
 
 def check_constraints_on_ground_state(p, state=None, seed=0):
     """Product-operator constraints applied to the ground state."""
-    if p.m_sites > 6:
-        raise ValueError("constraint check limited to m_sites <= 6")
+    _check_size("constraints", p.m_sites)
     notes = ""
     if state is None:
         res = _solved_ground(p, seed=seed)
@@ -147,19 +159,15 @@ def check_constraints_on_ground_state(p, state=None, seed=0):
         d = float(np.linalg.norm(phi.amplitudes - reference.amplitudes))
         details.append(f"{name}: {d:.2e}")
         dev = max(dev, d)
-    report = VerificationReport(
+    return VerificationReport(
         "ground-state-constraints", two_m,
         {"model": p.model, "delta": p.delta, "beta": p.beta},
-        dev, 1e-9, notes or "; ".join(details))
-    if notes:
-        report.max_deviation = float("nan")
-    return report
+        float("nan") if notes else dev, 1e-9, notes or "; ".join(details))
 
 
 def check_energy_equivalence(delta, beta, m_sites, tol=1e-8, seed=0):
     """|E0(AT, M) - E0(XXZ, 2M)| inside the respective ground sectors."""
-    if m_sites > 7:
-        raise ValueError("energy equivalence check limited to m_sites <= 7")
+    _check_size("energy", m_sites)
     e_at = _solved_ground(ModelParams(ASHKIN_TELLER, m_sites, delta=delta,
                                       beta=beta), seed=seed).ground_energy
     e_xxz = _solved_ground(ModelParams(STAGGERED_XXZ, m_sites, delta=delta,
@@ -172,18 +180,16 @@ def check_energy_equivalence(delta, beta, m_sites, tol=1e-8, seed=0):
 
 def check_density_equality(delta, beta, m_sites, tol=1e-9, seed=0):
     """Frontal-pair vs intra-dimer-pair reduced matrices, eigenvalue match."""
-    if m_sites > 6:
-        raise ValueError("density equality check limited to m_sites <= 6")
+    _check_size("density", m_sites)
     p_at = ModelParams(ASHKIN_TELLER, m_sites, delta=delta, beta=beta)
     p_xxz = ModelParams(STAGGERED_XXZ, m_sites, delta=delta, beta=beta)
     res_at = _solved_ground(p_at, seed=seed)
     res_xxz = _solved_ground(p_xxz, seed=seed)
     if res_at.degenerate or res_xxz.degenerate:
-        rep = VerificationReport(
+        return VerificationReport(
             "density-equality", 2 * m_sites,
             {"delta": delta, "beta": beta}, float("nan"), tol,
             "inconclusive: degenerate ground state")
-        return rep
 
     rho_at = reduce_state(res_at.ground_state, (0, 1))
     rho_xxz = reduce_state(res_xxz.ground_state, (0, 1))
@@ -209,8 +215,7 @@ def check_density_equality(delta, beta, m_sites, tol=1e-9, seed=0):
 
 def check_spectral_inclusion(delta, beta, m_sites, tol=1e-8):
     """Every AT Q=0 level appears in the full XXZ spectrum (dense, M <= 3)."""
-    if m_sites > 3:
-        raise ValueError("spectral inclusion limited to m_sites <= 3")
+    _check_size("spectral-inclusion", m_sites)
     p_at = ModelParams(ASHKIN_TELLER, m_sites, delta=delta, beta=beta)
     p_xxz = ModelParams(STAGGERED_XXZ, m_sites, delta=delta, beta=beta)
     at_levels = dense_spectrum(build_hamiltonian(p_at, ground_sector(p_at))).energies
@@ -230,3 +235,25 @@ def check_spectral_inclusion(delta, beta, m_sites, tol=1e-8):
     return VerificationReport(
         "spectral-inclusion", 2 * m_sites,
         {"delta": delta, "beta": beta}, dev, tol)
+
+
+def run_suites(names, m_sites, delta, beta):
+    """Reports of the named suites ("all" for every one), each run at
+    ``min(m_sites, SUITE_MAX_M[name])``, in table order."""
+    unknown = set(names) - set(SUITE_MAX_M) - {"all"}
+    if unknown:
+        raise ValueError(f"unknown verification suites {sorted(unknown)}")
+    models = (ASHKIN_TELLER, STAGGERED_XXZ)
+    suites = {
+        "link-algebra": lambda m: [check_link_algebra(x, m) for x in models],
+        "constraints": lambda m: [check_constraints_on_ground_state(
+            ModelParams(x, m, delta=delta, beta=beta)) for x in models],
+        "energy": lambda m: [check_energy_equivalence(delta, beta, m)],
+        "density": lambda m: [check_density_equality(delta, beta, m)],
+        "spectral-inclusion": lambda m: [check_spectral_inclusion(delta, beta, m)],
+    }
+    reports = []
+    for name, largest in SUITE_MAX_M.items():
+        if name in names or "all" in names:
+            reports += suites[name](min(m_sites, largest))
+    return reports

@@ -68,7 +68,6 @@ class TestLanczos:
             res = lanczos_ground(h, k=k, seed=seed)
             w = np.linalg.eigvalsh(h.mat)
             assert np.allclose(res.energies, w[:k], atol=1e-9)
-            assert all(res.converged)
             assert res.residuals.max() < 1e-10
 
     @pytest.mark.parametrize("model", [ASHKIN_TELLER, STAGGERED_XXZ])
@@ -142,10 +141,29 @@ class TestGroundState:
         h = build_hamiltonian(p, ground_sector(p))
         res = ground_state(h, k=2)
         assert len(res.energies) == 2
-        assert all(res.converged)
 
     def test_lanczos_path_above_cutoff(self):
         h = _DenseWrapper(random_sym(200, 2))
         res = ground_state(h, k=2)
         w = np.linalg.eigvalsh(h.mat)
         assert np.allclose(res.energies, w[:2], atol=1e-9)
+
+    def test_more_than_two_levels_solve_densely(self, monkeypatch):
+        monkeypatch.setattr(eigensolve, "lanczos_ground", None)
+        h = _DenseWrapper(random_sym(200, 2))
+        res = ground_state(h, k=5)
+        assert np.allclose(res.energies, np.linalg.eigvalsh(h.mat)[:5],
+                           atol=1e-12)
+
+    def test_more_than_two_levels_refused_beyond_dense_limit(self):
+        class Huge:
+            dim = eigensolve.DENSE_LIMIT + 1
+        with pytest.raises(CapacityError, match=r"4097 > 4096"):
+            ground_state(Huge(), k=3)
+
+    @pytest.mark.parametrize("dim", [40, 200])  # dense and ARPACK paths
+    @pytest.mark.parametrize("kw", [{"k": 0}, {"k": -1}, {"tol": -1.0},
+                                    {"tol": 0.0}, {"tol": np.nan}])
+    def test_argument_validation(self, dim, kw):
+        with pytest.raises(ValueError):
+            ground_state(_DenseWrapper(random_sym(dim, 0)), **kw)

@@ -54,7 +54,9 @@ class TestModelParams:
 
     @pytest.mark.parametrize("kw", [
         {"model": "ising"}, {"m_sites": 0}, {"j_coupling": 0.0},
-        {"j_coupling": -1.0}])
+        {"j_coupling": -1.0}, {"j_coupling": np.nan}, {"j_coupling": np.inf},
+        {"delta": np.nan}, {"delta": -np.inf}, {"beta": np.nan},
+        {"beta": np.inf}])
     def test_invalid(self, kw):
         base = {"model": ASHKIN_TELLER, "m_sites": 2}
         base.update(kw)
@@ -79,6 +81,14 @@ class TestBuildHamiltonian:
         h = build_hamiltonian(p, Full()).dense()
         # internal build works in the x frame; the oracle rotates to match
         assert np.abs(h - at_dense_oracle(p)).max() < 1e-12
+
+    @pytest.mark.parametrize("model", [ASHKIN_TELLER, STAGGERED_XXZ])
+    @pytest.mark.parametrize("m_sites", [1, 2])
+    def test_canonical_csr(self, model, m_sites):
+        # M = 1 and 2 emit duplicate COO entries, which the CSR constructor sums
+        p = ModelParams(model, m_sites, delta=0.7, beta=1.3)
+        for sector in (Full(), ground_sector(p)):
+            assert build_hamiltonian(p, sector).matrix.has_canonical_format
 
     def test_dimer_ground_energy(self):
         # single dimer, uniform couplings: E0 = -6J on the triplet-0 state

@@ -60,6 +60,24 @@ class TestSweepSpec:
         small_spec(start=-1.0, stop=0.0, step=0.05)
         small_spec(delta=-3.0)  # the fixed delta is not used on a delta sweep
 
+    @pytest.mark.parametrize("kw", [
+        {"model": STAGGERED_XXZ, "block": "quartet",
+         "quantities": ("entropy", "m")},
+        {"model": STAGGERED_XXZ, "block": "quartet", "quantities": ("d1:g",)},
+        {"block": "no-such-preset"}, {"block": "nn-pair"}, {"block": (0, 4)},
+        {"block": (1, 1)}, {"stop": np.inf}, {"start": np.nan},
+        {"step": np.nan}, {"tol": np.nan}, {"tol": -1.0}, {"tol": 0.0},
+        {"beta": np.nan}])
+    def test_refused_before_any_build(self, kw, monkeypatch):
+        builds = []
+        monkeypatch.setattr(sweeps_mod, "build_hamiltonian",
+                            lambda *a: builds.append(a))
+        with pytest.raises(ValueError):
+            run_sweep(small_spec(**kw))
+        assert builds == []
+        with pytest.raises(ValueError):
+            small_spec(**kw)  # the spec itself refuses, not run_sweep
+
 
 class TestResolveBlock:
     def test_presets(self):
@@ -265,7 +283,7 @@ class TestCli:
         code = cli.main(["spectrum", "--model", "at", "--m-sites", "8",
                          "--levels", "3"])
         assert code == cli.EXIT_ARGUMENT
-        assert "--levels 3" in capsys.readouterr().err
+        assert "dimension 16384 > 4096" in capsys.readouterr().err
 
     def test_verify_ok(self, tmp_path, capsys):
         report = tmp_path / "report.txt"
@@ -287,8 +305,11 @@ class TestCli:
         assert cli.main(["spectrum", "--delta=-1.05"]) == 1
         assert "--sector full" in capsys.readouterr().err
         capsys.readouterr()
-        assert cli.main(["info", "--m-sites", "15"]) == 1  # 30 > MAX_SPINS
-        assert capsys.readouterr().err.startswith("error:")
+        for argv in (["info", "--m-sites", "15"],  # 30 > MAX_SPINS
+                     ["spectrum", "--tol", "-1"], ["spectrum", "--delta", "nan"],
+                     ["sweep", "--range", "0:inf:1"]):
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err.startswith("error:")
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):

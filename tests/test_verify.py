@@ -98,9 +98,33 @@ class TestSpectralInclusion:
         assert dev > 1e-3
 
 
+class TestRunSuites:
+    def test_all(self):
+        reports = verify.run_suites(["all"], 2, 1.0, 1.0)
+        assert [r.name for r in reports] == [
+            "link-algebra", "link-algebra", "ground-state-constraints",
+            "ground-state-constraints", "energy-equivalence",
+            "density-equality", "spectral-inclusion"]
+        assert all(r.passed and r.chain_spins == 4 for r in reports)
+
+    def test_each_suite_capped_at_its_largest_m(self):
+        reports = verify.run_suites(["spectral-inclusion", "link-algebra"],
+                                    9, 0.8, 1.3)
+        assert [(r.name, r.chain_spins) for r in reports] == [
+            ("link-algebra", 8), ("link-algebra", 8), ("spectral-inclusion", 6)]
+
+    def test_unknown_suite(self):
+        with pytest.raises(ValueError, match="no-such-suite"):
+            verify.run_suites(["energy", "no-such-suite"], 2, 1.0, 1.0)
+
+
 class TestReportFormat:
     def test_summary_lines(self):
         rep = verify.VerificationReport("demo", 6, {"delta": 1.0}, 1e-12, 1e-9)
         assert rep.summary().startswith("[PASS]")
+        assert not rep.inconclusive
         rep.max_deviation = 1.0
         assert rep.summary().startswith("[FAIL]")
+        assert not rep.inconclusive
+        rep.max_deviation = float("nan")
+        assert rep.inconclusive and not rep.passed
