@@ -3,18 +3,17 @@ and staggered XXZ spin-1/2 chains."""
 
 __version__ = "0.1.0"
 
-from .basis import (Full, SzFixed, XParity, SpinBasis, QuantumState,
+from .basis import (Full, K0, SzFixed, XParity, SpinBasis, QuantumState,
                     PauliString, pauli, build_basis, apply_pauli_string,
                     expectation)
 from .models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
                      SparseHamiltonian, LinkVariable, build_hamiltonian,
-                     classify_sector, ground_sector, link_variable)
+                     ground_sector, k0_domain, link_variable)
 from .eigensolve import (EigenResult, ConvergenceError, dense_spectrum,
                          lanczos_ground, ground_state)
 from .entanglement import (DensityMatrix, EntanglementReport, reduce_state,
                            partial_transpose, negativity, dsb, von_neumann,
-                           entanglement_report, frontal_pair_analytic,
-                           lambda_analytic, dimer_quartet_analytic)
+                           entanglement_report)
 from .observables import (Series, finite_difference, locate_extremes,
                           magnetization_x, correlator_x)
 from .sweeps import SweepSpec, SweepResult, run_sweep, figure_presets

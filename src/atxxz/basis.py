@@ -6,6 +6,7 @@ frame ("z" frame: sigma^z = +1, i.e. spin up; "x" frame: sigma^x = +1).
 """
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -46,6 +47,19 @@ class XParity:
     p2: int
 
 
+@dataclass(frozen=True)
+class K0:
+    """States of ``parent`` even under translation, reflection and exchange.
+
+    ``parent`` is XParity(p, p) in the x frame, where exchange swaps the
+    sigma (even) and tau (odd) bits, or SzFixed(n/2) in the z frame, where
+    it is the global spin flip. Translation moves labels by two bits and
+    reflection reverses them. A basis label is the smallest label of its
+    orbit; its basis vector is the normalized sum over the orbit.
+    """
+    parent: object
+
+
 def popcount(x):
     """Number of set bits; works elementwise on integer arrays."""
     return np.bitwise_count(np.asarray(x)).astype(np.int64)
@@ -59,19 +73,26 @@ class SpinBasis:
     states: np.ndarray  # strictly increasing int64 labels
     sector: object = field(default_factory=Full)
     frame: str = "z"  # "z" or "x": which single-spin Pauli is diagonal
+    # K0 sectors only: the parent sector's basis, the row of each parent
+    # state's orbit, and the orbit size of each row
+    parent: Optional["SpinBasis"] = None
+    orbit: Optional[np.ndarray] = None
+    sizes: Optional[np.ndarray] = None
 
     @property
     def dim(self):
         return len(self.states)
 
     def index_of(self, labels):
-        """Dense indices of the given labels; raises KeyError on a miss."""
+        """Rows of the given labels (in a K0 sector, of their orbits);
+        raises KeyError on a label outside the sector."""
         labels = np.asarray(labels, dtype=np.int64)
-        idx = np.searchsorted(self.states, labels)
-        bad = (idx >= self.dim) | (self.states[np.minimum(idx, self.dim - 1)] != labels)
+        states = self.states if self.parent is None else self.parent.states
+        idx = np.searchsorted(states, labels)
+        bad = (idx >= len(states)) | (states[np.minimum(idx, len(states) - 1)] != labels)
         if np.any(bad):
             raise KeyError("label not in basis sector")
-        return idx
+        return idx if self.parent is None else self.orbit[idx]
 
     def is_full(self):
         return isinstance(self.sector, Full)
@@ -89,6 +110,8 @@ def build_basis(n_spins, sector=Full(), frame="z"):
         states = np.arange(total, dtype=np.int64)
         return SpinBasis(n_spins, states, sector, frame)
 
+    if isinstance(sector, K0):
+        return _k0_basis(n_spins, sector, frame)
     if isinstance(sector, SzFixed):
         if not 0 <= sector.n_up <= n_spins:
             raise ValueError(f"n_up={sector.n_up} inconsistent with n_spins={n_spins}")
@@ -115,6 +138,29 @@ def build_basis(n_spins, sector=Full(), frame="z"):
     return SpinBasis(n_spins, states, sector, frame)
 
 
+def _k0_basis(n_spins, sector, frame):
+    """Orbit representatives of the parent sector under the 4M symmetries."""
+    parent = build_basis(n_spins, sector.parent, frame)
+    ones = np.int64((1 << n_spins) - 1)
+    if isinstance(sector.parent, XParity) and sector.parent.p1 == sector.parent.p2:
+        even = np.int64(sum(1 << i for i in range(0, n_spins, 2)))
+        exchange = lambda s: ((s & even) << 1) | ((s >> 1) & even)
+    elif isinstance(sector.parent, SzFixed) and 2 * sector.parent.n_up == n_spins:
+        exchange = lambda s: s ^ ones
+    else:
+        raise ValueError(f"K0 refines XParity(p, p) or SzFixed(n/2), not {sector.parent!r}")
+    s = parent.states
+    mirror = np.zeros_like(s)
+    for i in range(n_spins):
+        mirror |= ((s >> i) & 1) << (n_spins - 1 - i)
+    rep = s.copy()
+    for image in (s, exchange(s), mirror, exchange(mirror)):
+        for t in range(0, n_spins, 2):
+            np.minimum(rep, ((image << t) | (image >> (n_spins - t))) & ones, out=rep)
+    states, orbit, sizes = np.unique(rep, return_inverse=True, return_counts=True)
+    return SpinBasis(n_spins, states, sector, frame, parent, orbit, sizes)
+
+
 # --- states ---------------------------------------------------------------
 
 @dataclass(eq=False)
@@ -131,8 +177,18 @@ class QuantumState:
     def normalized(self):
         return QuantumState(self.amplitudes / self.norm, self.basis)
 
+    def unfold(self):
+        """The same state over the parent basis of a K0 sector (else itself):
+        psi(s) = c_r / sqrt(N_r), with r the orbit of s and N_r its size."""
+        b = self.basis
+        if b.parent is None:
+            return self
+        return QuantumState(self.amplitudes[b.orbit] / np.sqrt(b.sizes[b.orbit]), b.parent)
+
     def expand_full(self):
         """Embed a sector-restricted state into the full 2^n space."""
+        if self.basis.parent is not None:
+            return self.unfold().expand_full()
         if self.basis.is_full():
             return self
         full = build_basis(self.basis.n_spins, Full(), frame=self.basis.frame)
@@ -187,10 +243,12 @@ def apply_pauli_string(string, psi):
     """Apply a Pauli string to a state (unnormalized result).
 
     The string is interpreted in the physical (z) frame; if the state lives
-    in the x frame it is conjugated accordingly before acting. For a
-    sector-restricted state the result must stay in the sector, otherwise a
-    SectorViolationError is raised.
+    in the x frame it is conjugated accordingly before acting. A K0 state
+    is first unfolded onto its parent sector. For a sector-restricted state
+    the result must stay in the sector, otherwise a SectorViolationError is
+    raised.
     """
+    psi = psi.unfold()
     n = psi.basis.n_spins
     for s, _ in string.terms:
         if s >= n:
@@ -231,6 +289,7 @@ def apply_pauli_string(string, psi):
 
 def expectation(psi, string, imag_tol=1e-10):
     """<psi| string |psi> for a normalized state; must be real."""
+    psi = psi.unfold()
     spsi = apply_pauli_string(string, psi)
     val = np.vdot(psi.amplitudes, spsi.amplitudes)
     if abs(np.imag(val)) > imag_tol:

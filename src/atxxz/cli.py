@@ -8,10 +8,10 @@ import argparse
 import sys
 
 from . import __version__
-from .basis import CapacityError, Full, build_basis
+from .basis import CapacityError, Full, K0, build_basis
 from .models import (ASHKIN_TELLER, FRAMES, ModelParams, build_hamiltonian,
-                     ground_sector)
-from .eigensolve import ConvergenceError, ground_state
+                     ground_sector, k0_domain)
+from .eigensolve import ConvergenceError, ground_state, solver_path
 from .sweeps import SweepSpec, figure_presets, run_sweep
 from . import verify as verify_mod
 
@@ -148,6 +148,8 @@ def _cmd_figure(args):
 def _cmd_spectrum(args):
     p = ModelParams(args.model, args.m_sites, delta=args.delta, beta=args.beta)
     sector = ground_sector(p) if args.sector == "ground" else Full()
+    # refuse a solve beyond capacity from the sector dimension, before H exists
+    solver_path(build_basis(p.n_spins, sector, frame=FRAMES[p.model]).dim, args.levels)
     h = build_hamiltonian(p, sector)
     res = ground_state(h, k=args.levels, tol=args.tol, seed=args.seed)
     print(f"model={p.model} spins={p.n_spins} sector={sector} dim={h.dim}")
@@ -179,10 +181,12 @@ def _cmd_verify(args):
 def _cmd_info(args):
     p = ModelParams(args.model, args.m_sites, delta=args.delta, beta=args.beta)
     sector = ground_sector(p)
-    basis = build_basis(p.n_spins, sector, frame=FRAMES[p.model])
+    basis = build_basis(p.n_spins, K0(sector), frame=FRAMES[p.model])
     print(f"atxxz {__version__}")
     print(f"model={p.model} M={p.m_sites} spins={p.n_spins}")
-    print(f"ground sector {sector}: dimension {basis.dim} of {1 << p.n_spins}")
+    print(f"ground sector {sector}: dimension {basis.parent.dim} of {1 << p.n_spins}")
+    proven = "holds" if k0_domain(p) else "is not proven to hold"
+    print(f"k=0 sector: dimension {basis.dim}; it {proven} the ground state")
     return EXIT_OK
 
 

@@ -53,15 +53,19 @@ def _result(h, w, v, k, residuals):
     return EigenResult(w[:k], states, residuals, gap, degenerate)
 
 
+def _check_dense(dim):
+    if dim > DENSE_LIMIT:
+        raise CapacityError(f"dense solve refused at dimension {dim} > "
+                            f"{DENSE_LIMIT}; ARPACK solves at most 2 levels")
+
+
 def dense_spectrum(h, k=None):
     """Full symmetric eigendecomposition; oracle for small dimensions.
 
     Returns the lowest ``k`` levels (all by default); the gap and the
     degeneracy flag come from the whole spectrum.
     """
-    if h.dim > DENSE_LIMIT:
-        raise CapacityError(f"dense solve refused at dimension {h.dim} > "
-                            f"{DENSE_LIMIT}; ARPACK solves at most 2 levels")
+    _check_dense(h.dim)
     w, v = np.linalg.eigh(h.dense())
     k = len(w) if k is None else min(k, len(w))
     return _result(h, w, v, k, np.zeros(k))
@@ -115,17 +119,28 @@ def lanczos_ground(h, k=1, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
         best_residual=best)
 
 
-def ground_state(h, k=2, tol=DEFAULT_TOL, seed=0):
-    """The lowest ``k`` levels of ``h``; the one solver entry.
+def solver_path(dim, k):
+    """"dense" or "arpack": how ``ground_state`` solves ``k`` levels at ``dim``.
 
-    Solves densely when ``h.dim <= DENSE_CUTOFF`` or ``k > 2`` (CapacityError
-    above DENSE_LIMIT), otherwise with ARPACK. ``k < 1`` and a ``tol`` that
-    is not positive are refused on both paths.
+    Dense when ``dim <= DENSE_CUTOFF`` or ``k > 2``, with CapacityError above
+    DENSE_LIMIT, so a caller can refuse before it builds the Hamiltonian.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if dim > DENSE_CUTOFF and k <= 2:
+        return "arpack"
+    _check_dense(dim)
+    return "dense"
+
+
+def ground_state(h, k=2, tol=DEFAULT_TOL, seed=0):
+    """The lowest ``k`` levels of ``h``; the one solver entry.
+
+    The path is ``solver_path(h.dim, k)``. ``k < 1`` and a ``tol`` that is
+    not positive are refused on both paths.
+    """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if h.dim <= DENSE_CUTOFF or k > 2:
+    if solver_path(h.dim, k) == "dense":
         return dense_spectrum(h, k=k)
     return lanczos_ground(h, k=k, tol=tol, seed=seed)

@@ -139,44 +139,3 @@ def entanglement_report(rho, subsystem_a=None):
         min_pt_eigenvalue=lam_min,
     )
 
-
-# --- analytic frontal-pair forms -----------------------------------------
-
-def frontal_pair_analytic(m, g):
-    """Diagonal x-frame density matrix of a same-site sigma-tau pair.
-
-    Entries are u = 1/4 + m/2 + g/4, v = 1/4 - g/4 (twice), and
-    w = 1/4 - m/2 + g/4, with m the x magnetization and g the on-site
-    sigma-tau x correlator.
-    """
-    if not -1.0 <= m <= 1.0 or not -1.0 <= g <= 1.0:
-        raise ValueError("m and g must lie in [-1, 1]")
-    u = 0.25 + 0.5 * m + 0.25 * g
-    v = 0.25 - 0.25 * g
-    w = 0.25 - 0.5 * m + 0.25 * g
-    for entry in (u, v, w):
-        if entry < -PSD_WINDOW or entry > 1.0 + PSD_WINDOW:
-            raise ValueError(f"inconsistent inputs: diagonal entry {entry}")
-    return DensityMatrix((0, 1), np.diag([u, v, v, w]).astype(float), frame="x")
-
-
-def lambda_analytic(m, g, delta):
-    """Piecewise separability distance of the frontal pair.
-
-    The minimizing PT eigenvalue switches branch exactly at delta = 1.
-    """
-    if delta <= 1.0:
-        return -0.5 + m - 0.5 * g
-    return -0.5 + 0.5 * g
-
-
-def dimer_quartet_analytic():
-    """Four-site density matrix of the strong-staggering limit.
-
-    Two maximally mixed edge qubits around a pure triplet-0 inner pair;
-    ordering matches reduce_state with keep = (s, s+1, s+2, s+3).
-    """
-    t0 = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
-    inner = np.outer(t0, t0)
-    half = np.eye(2) / 2.0
-    return np.kron(half, np.kron(inner, half))

@@ -1,8 +1,10 @@
 """Hot kernels: COO entry generation for the sparse Hamiltonians.
 
-Each kernel emits (rows, cols, vals) triplets over a sorted sector basis,
-vectorized over the basis states with one numpy pass per term; duplicate
-(row, col) pairs are summed downstream by the CSR conversion.
+Each kernel applies H to every basis label and emits (targets, cols, vals):
+the label each term maps to, the column of the source label and the matrix
+element, vectorized with one numpy pass per term. The basis turns target
+labels into rows; duplicate (row, col) pairs are summed by the CSR
+conversion.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ def xxz_entries(states, bond_a, bond_b, coupling, delta):
     dim = len(states)
     idx = np.arange(dim, dtype=np.int64)
     diag = np.zeros(dim)
-    rows = [idx]
+    targets = [states]
     cols = [idx]
     vals = [diag]
     for a, b, c in zip(bond_a, bond_b, coupling):
@@ -24,11 +26,10 @@ def xxz_entries(states, bond_a, bond_b, coupling, delta):
         zb = 1 - 2 * ((states >> np.int64(b)) & 1)
         diag += c * delta * za * zb
         mask = za != zb
-        flipped = states[mask] ^ np.int64((1 << a) | (1 << b))
-        rows.append(np.searchsorted(states, flipped))
+        targets.append(states[mask] ^ np.int64((1 << a) | (1 << b)))
         cols.append(idx[mask])
         vals.append(np.full(mask.sum(), -2.0 * c))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    return np.concatenate(targets), np.concatenate(cols), np.concatenate(vals)
 
 
 def at_entries(states, m_sites, j_coupling, beta, delta):
@@ -39,7 +40,7 @@ def at_entries(states, m_sites, j_coupling, beta, delta):
     dim = len(states)
     idx = np.arange(dim, dtype=np.int64)
     diag = np.zeros(dim)
-    rows = [idx]
+    targets = [states]
     cols = [idx]
     vals = [diag]
     for j in range(m_sites):
@@ -50,7 +51,7 @@ def at_entries(states, m_sites, j_coupling, beta, delta):
         # the single periodic bond wraps onto itself; every bond operator
         # squares to the identity and only shifts the diagonal
         diag += -j_coupling * beta * (2.0 + delta)
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+        return np.concatenate(targets), np.concatenate(cols), np.concatenate(vals)
     for j in range(m_sites):
         jp = (j + 1) % m_sites
         m_sig = (1 << (2 * j)) | (1 << (2 * jp))
@@ -58,7 +59,7 @@ def at_entries(states, m_sites, j_coupling, beta, delta):
         for mask, val in ((m_sig, -j_coupling * beta),
                           (m_tau, -j_coupling * beta),
                           (m_sig | m_tau, -j_coupling * beta * delta)):
-            rows.append(np.searchsorted(states, states ^ np.int64(mask)))
+            targets.append(states ^ np.int64(mask))
             cols.append(idx)
             vals.append(np.full(dim, val))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    return np.concatenate(targets), np.concatenate(cols), np.concatenate(vals)

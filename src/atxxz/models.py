@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import Full, SzFixed, XParity, SpinBasis, PauliString, build_basis, popcount
+from .basis import Full, K0, SzFixed, XParity, SpinBasis, PauliString, build_basis
 from . import kernels
 
 ASHKIN_TELLER = "at"
@@ -81,11 +81,27 @@ def ground_sector(p):
     return SzFixed(p.m_sites)
 
 
+def k0_domain(p):
+    """Whether the ground state provably lies in K0(ground_sector(p)).
+
+    For beta > 0, and delta >= 0 on the Ashkin-Teller chain, every
+    off-diagonal element of H in the ground sector is <= 0 and connects the
+    sector, so by Perron-Frobenius its ground state is unique and nodeless;
+    every symmetry, a label permutation, then maps it onto itself.
+    """
+    return p.beta > 0 and (p.model == STAGGERED_XXZ or p.delta >= 0)
+
+
 def build_hamiltonian(p, sector=Full()):
-    """Assemble the model Hamiltonian restricted to ``sector``."""
-    if isinstance(sector, SzFixed) and p.model != STAGGERED_XXZ:
+    """Assemble the model Hamiltonian restricted to ``sector``.
+
+    In a K0 sector the element between orbit states r' and r is
+    sqrt(N_r / N_r') times the sum of <s'|H|r> over s' in the orbit of r'.
+    """
+    parent = sector.parent if isinstance(sector, K0) else sector
+    if isinstance(parent, SzFixed) and p.model != STAGGERED_XXZ:
         raise ValueError("SzFixed sectors apply to the XXZ chain only")
-    if isinstance(sector, XParity) and p.model != ASHKIN_TELLER:
+    if isinstance(parent, XParity) and p.model != ASHKIN_TELLER:
         raise ValueError("XParity sectors apply to the Ashkin-Teller chain only")
 
     n = p.n_spins
@@ -101,37 +117,21 @@ def build_hamiltonian(p, sector=Full()):
             bond_a.append(2 * j + 1)
             bond_b.append((2 * j + 2) % n)
             coupling.append(p.j_coupling * p.beta)
-        rows, cols, vals = kernels.xxz_entries(
+        targets, cols, vals = kernels.xxz_entries(
             basis.states, np.asarray(bond_a, dtype=np.int64),
             np.asarray(bond_b, dtype=np.int64), np.asarray(coupling),
             float(p.delta))
     else:
-        rows, cols, vals = kernels.at_entries(
+        targets, cols, vals = kernels.at_entries(
             basis.states, p.m_sites, float(p.j_coupling), float(p.beta),
             float(p.delta))
+    rows = basis.index_of(targets)
+    if basis.sizes is not None:
+        vals = vals * np.sqrt(basis.sizes[cols] / basis.sizes[rows])
 
     # the COO constructor sums duplicate entries and sorts the indices
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
     return SparseHamiltonian(basis, mat, p)
-
-
-def classify_sector(label, p):
-    """Symmetry quantum number of a basis label.
-
-    Ashkin-Teller (x-frame label): Q in {0,1,2,3} from the sigma/tau
-    popcount parities. XXZ (z-frame label): magnetization n = M - r with
-    r the number of set bits (reversed spins).
-    """
-    if label < 0 or label >= (1 << p.n_spins):
-        raise ValueError("label out of range")
-    if p.model == ASHKIN_TELLER:
-        sigma_mask = sum(1 << i for i in range(0, p.n_spins, 2))
-        tau_mask = sum(1 << i for i in range(1, p.n_spins, 2))
-        p1 = 1 if int(popcount(label & sigma_mask)) % 2 == 0 else -1
-        p2 = 1 if int(popcount(label & tau_mask)) % 2 == 0 else -1
-        return {(1, 1): 0, (1, -1): 1, (-1, -1): 2, (-1, 1): 3}[(p1, p2)]
-    r = int(popcount(label))
-    return p.m_sites - r
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ def magnetization_x(psi, p, tol=1e-9):
     """
     if p.model != ASHKIN_TELLER or psi.basis.frame != "x":
         raise ValueError("magnetization_x expects an x-frame Ashkin-Teller state")
+    psi = psi.unfold()
     sigma = _site_diagonal_average(psi, range(0, p.n_spins, 2), tol)
     tau = _site_diagonal_average(psi, range(1, p.n_spins, 2), tol)
     if abs(sigma.mean() - tau.mean()) > tol:
@@ -43,6 +44,7 @@ def correlator_x(psi, p, tol=1e-9):
     """Site-averaged on-site correlator <sigma^x tau^x>."""
     if p.model != ASHKIN_TELLER or psi.basis.frame != "x":
         raise ValueError("correlator_x expects an x-frame Ashkin-Teller state")
+    psi = psi.unfold()
     prob = np.abs(psi.amplitudes) ** 2
     states = psi.basis.states
     vals = []

@@ -9,8 +9,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .basis import K0
 from .models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
-                     build_hamiltonian, ground_sector)
+                     build_hamiltonian, ground_sector, k0_domain)
 from .eigensolve import ConvergenceError, ground_state
 from .entanglement import (InvalidStateError, dsb, negativity, reduce_state,
                            von_neumann)
@@ -129,11 +130,17 @@ def resolve_block(block, model, n_spins):
     return label, sites
 
 
+def _warn(spec, p, reason):
+    _log.warning("%s, %d spins, %s=%.12g: %s", p.model, p.n_spins,
+                 spec.sweep, getattr(p, spec.sweep), reason)
+
+
 def _evaluate_point(spec, h, base_quantities, sites):
+    """Values and converged flags of each base quantity at one point."""
     p = h.params
     try:
         res = ground_state(h, k=2, tol=spec.tol, seed=spec.seed)
-        psi = res.ground_state
+        psi = res.ground_state.unfold()
         out = {}
         rho = None
         for q in base_quantities:
@@ -151,14 +158,22 @@ def _evaluate_point(spec, h, base_quantities, sites):
                 half = sites[:max(1, len(sites) // 2)]
                 out[q] = negativity(rho, half) if q == "negativity" else dsb(rho, half)
     except (ConvergenceError, SymmetryViolationError, InvalidStateError) as exc:
-        _log.warning("%s, %d spins, %s=%.12g: %s: %s", p.model, p.n_spins,
-                     spec.sweep, getattr(p, spec.sweep), type(exc).__name__, exc)
-        return p, {q: float("nan") for q in base_quantities}, False
-    return p, out, True
+        _warn(spec, p, f"{type(exc).__name__}: {exc}")
+        return p, {q: float("nan") for q in base_quantities}, dict.fromkeys(
+            base_quantities, False)
+    if res.degenerate:
+        # the solver returns an arbitrary vector of the degenerate level
+        _warn(spec, p, f"degenerate ground state (gap {res.gap:.1e}); "
+                       "state-dependent rows flagged unconverged")
+    return p, out, {q: q == "energy" or not res.degenerate for q in base_quantities}
 
 
 def run_sweep(spec):
-    """Solve every grid point and emit rows (and the CSV, if requested)."""
+    """Solve every grid point and emit rows (and the CSV, if requested).
+
+    Where both grid ends lie in ``k0_domain``, so does every point, and the
+    sweep solves in the K0 refinement of the ground sector.
+    """
     n_spins = 2 * spec.m_sites
     label, sites = resolve_block(spec.block, spec.model, n_spins)
     grid = spec.grid()
@@ -167,8 +182,11 @@ def run_sweep(spec):
     # H(x) = A + x B with one sparsity pattern: build twice, then rewrite data
     p = ModelParams(spec.model, spec.m_sites, spec.j_coupling, spec.delta, spec.beta)
     p0, p1 = (replace(p, **{spec.sweep: x}) for x in (0.0, 1.0))
-    a = build_hamiltonian(p0, ground_sector(p0)).matrix
-    h = build_hamiltonian(p1, ground_sector(p1))
+    sector = ground_sector(p0)
+    if all(k0_domain(replace(p, **{spec.sweep: x})) for x in (grid[0], grid[-1])):
+        sector = K0(sector)
+    a = build_hamiltonian(p0, sector).matrix
+    h = build_hamiltonian(p1, sector)
     if not (np.array_equal(a.indptr, h.matrix.indptr)
             and np.array_equal(a.indices, h.matrix.indices)):
         raise RuntimeError(f"{spec.model} sparsity pattern depends on {spec.sweep}")
@@ -182,18 +200,18 @@ def run_sweep(spec):
 
     result = SweepResult(spec)
     values = {q: np.array([pt[1][q] for pt in points]) for q in base}
-    conv = np.array([pt[2] for pt in points])
+    conv = {q: np.array([pt[2][q] for pt in points]) for q in base}
     for q in spec.quantities:
         if ":" in q:
-            order = int(q[1])
-            series = Series(spec.sweep, grid, values[q.split(":", 1)[1]])
+            order, name = int(q[1]), q.split(":", 1)[1]
+            series = Series(spec.sweep, grid, values[name])
             col = finite_difference(series, order=order).values
             # a derivative row is converged when every point its stencil
             # reads is: push NaN marks of failed points through that stencil
-            marks = Series(spec.sweep, grid, np.where(conv, 0.0, np.nan))
+            marks = Series(spec.sweep, grid, np.where(conv[name], 0.0, np.nan))
             col_conv = ~np.isnan(finite_difference(marks, order=order).values)
         else:
-            col, col_conv = values[q], conv
+            col, col_conv = values[q], conv[q]
         for (p, _, _), v, ok in zip(points, col, col_conv):
             result.rows.append(Row(spec.model, n_spins, p.delta, p.beta,
                                    label, q, float(v), bool(ok)))

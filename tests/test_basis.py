@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from atxxz.basis import (CapacityError, Full, PauliString, QuantumState,
+from atxxz.basis import (CapacityError, Full, K0, PauliString, QuantumState,
                          SectorViolationError, SzFixed, XParity,
                          apply_pauli_string, build_basis, expectation, pauli)
 
@@ -69,6 +69,70 @@ class TestBuildBasis:
             build_basis(4, XParity(2, 1))
         with pytest.raises(ValueError):
             build_basis(3, XParity(1, 1))
+
+
+def symmetry_orbit(label, n, exchange):
+    """Closure of one label under 2-site translation, reflection and
+    exchange (swap of bits 2j, 2j+1) or spin flip, on bit lists."""
+    def images(bits):
+        yield bits[-2:] + bits[:-2]
+        yield bits[::-1]
+        if exchange:
+            yield [bits[i ^ 1] for i in range(n)]
+        else:
+            yield [1 - b for b in bits]
+    start = [(label >> i) & 1 for i in range(n)]
+    seen, todo = {tuple(start)}, [start]
+    while todo:
+        for img in images(todo.pop()):
+            if tuple(img) not in seen:
+                seen.add(tuple(img))
+                todo.append(img)
+    return {sum(b << i for i, b in enumerate(bits)) for bits in seen}
+
+
+class TestK0Basis:
+    @pytest.mark.parametrize("m_sites", [1, 2, 3, 4])
+    @pytest.mark.parametrize("parent,frame", [("xparity", "x"), ("szfixed", "z")])
+    def test_orbits_match_closure(self, m_sites, parent, frame):
+        n = 2 * m_sites
+        sector = XParity(1, 1) if parent == "xparity" else SzFixed(m_sites)
+        b = build_basis(n, K0(sector), frame=frame)
+        members = {}
+        for s, row in zip(b.parent.states, b.orbit):
+            members.setdefault(int(row), set()).add(int(s))
+        assert len(members) == b.dim
+        for row, labels in members.items():
+            orbit = symmetry_orbit(min(labels), n, parent == "xparity")
+            assert labels == orbit
+            assert b.states[row] == min(orbit) and b.sizes[row] == len(orbit)
+
+    def test_dimensions(self):
+        # k=0 sector sizes at 14 and 16 spins, from the parent's 4096 / 16384
+        # (Ashkin-Teller) and 3432 / 12870 (XXZ) states
+        for m, at, xxz in ((7, 181, 155), (8, 627, 496)):
+            assert build_basis(2 * m, K0(XParity(1, 1)), frame="x").dim == at
+            assert build_basis(2 * m, K0(SzFixed(m))).dim == xxz
+
+    @pytest.mark.parametrize("sector", [XParity(1, -1), SzFixed(2), Full()])
+    def test_refuses_asymmetric_parent(self, sector):
+        with pytest.raises(ValueError):
+            build_basis(6, K0(sector), frame="x")
+
+    def test_unfold_spreads_orbits(self):
+        b = build_basis(8, K0(XParity(1, 1)), frame="x")
+        amps = np.random.default_rng(0).normal(size=b.dim)
+        psi = QuantumState(amps / np.linalg.norm(amps), b)
+        wide = psi.unfold()
+        assert wide.basis is b.parent and wide.norm == pytest.approx(1.0, abs=1e-12)
+        full = psi.expand_full().amplitudes
+        for row, rep in enumerate(b.states):
+            orbit = sorted(symmetry_orbit(int(rep), 8, True))
+            assert np.allclose(full[orbit], amps[row] / np.linalg.norm(amps)
+                               / np.sqrt(len(orbit)), atol=1e-14)
+        # Pauli strings act on the unfolded state
+        assert expectation(psi, pauli((0, "z"), (2, "z"))) == pytest.approx(
+            expectation(wide, pauli((0, "z"), (2, "z"))), abs=1e-14)
 
 
 class TestPauliString:

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from atxxz.basis import CapacityError, Full, QuantumState, build_basis
-from atxxz.entanglement import (DensityMatrix, InvalidStateError,
-                                dimer_quartet_analytic, dsb,
-                                entanglement_report, frontal_pair_analytic,
-                                lambda_analytic, min_pt_eigenvalue, negativity,
-                                partial_transpose, reduce_state, von_neumann)
+from atxxz.entanglement import (DensityMatrix, InvalidStateError, dsb,
+                                entanglement_report, min_pt_eigenvalue,
+                                negativity, partial_transpose, reduce_state,
+                                von_neumann)
+from oracles import (dimer_quartet_analytic, frontal_pair_analytic,
+                     lambda_analytic)
 
 
 def state(amps, n, frame="z"):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from atxxz import (ModelParams, build_hamiltonian, classify_sector,
+from atxxz import (ModelParams, build_hamiltonian,
                    dense_spectrum, ground_sector, link_variable)
-from atxxz.basis import Full, SzFixed, XParity
+from atxxz.basis import Full, K0, SzFixed, XParity
 from atxxz.models import ASHKIN_TELLER, STAGGERED_XXZ
 from atxxz.verify import pauli_dense
 from atxxz.basis import pauli
+from oracles import classify_sector
 
 
 def xxz_dense_oracle(p):
@@ -137,6 +138,29 @@ class TestBuildHamiltonian:
                     e_sec = dense_spectrum(
                         build_hamiltonian(p, ground_sector(p))).ground_energy
                     assert e_sec == pytest.approx(e_full, abs=1e-10)
+
+
+class TestK0Sector:
+    @pytest.mark.parametrize("model", [ASHKIN_TELLER, STAGGERED_XXZ])
+    @pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
+    def test_projects_parent_hamiltonian(self, model, m_sites):
+        # the symmetric subspace is invariant for every (delta, beta)
+        for delta, beta in ((1.0, 1.0), (0.3, 1.6), (-0.7, 0.5), (-1.0, 2.0),
+                            (2.0, -0.8)):
+            p = ModelParams(model, m_sites, delta=delta, beta=beta)
+            parent = build_hamiltonian(p, ground_sector(p))
+            k0 = build_hamiltonian(p, K0(ground_sector(p)))
+            b = k0.basis
+            iso = np.zeros((parent.dim, k0.dim))
+            iso[np.arange(parent.dim), b.orbit] = 1.0 / np.sqrt(b.sizes[b.orbit])
+            assert np.abs(iso.T @ iso - np.eye(k0.dim)).max() < 1e-12
+            assert np.abs(iso.T @ parent.dense() @ iso - k0.dense()).max() < 1e-12
+
+    def test_sector_model_mismatch(self):
+        with pytest.raises(ValueError):
+            build_hamiltonian(ModelParams(ASHKIN_TELLER, 2), K0(SzFixed(2)))
+        with pytest.raises(ValueError):
+            build_hamiltonian(ModelParams(STAGGERED_XXZ, 2), K0(XParity(1, 1)))
 
 
 class TestClassifySector:

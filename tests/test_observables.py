@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from atxxz import ModelParams, build_basis, build_hamiltonian, ground_sector
-from atxxz.basis import QuantumState, expectation, pauli
+from atxxz.basis import K0, QuantumState, expectation, pauli
 from atxxz.eigensolve import dense_spectrum
 from atxxz.models import ASHKIN_TELLER, STAGGERED_XXZ
 from atxxz.observables import (Series, SymmetryViolationError, correlator_x,
@@ -31,6 +31,14 @@ class TestMagnetization:
         direct = np.mean([expectation(psi, pauli((2 * j, "x"), (2 * j + 1, "x")))
                           for j in range(p.m_sites)])
         assert g == pytest.approx(direct, abs=1e-12)
+
+    def test_k0_state_matches_ground_sector(self, at_ground):
+        # a K0 vector is spread over its orbits before the averages
+        p, psi = at_ground
+        k0 = dense_spectrum(build_hamiltonian(p, K0(ground_sector(p)))).ground_state
+        assert k0.basis.dim < psi.basis.dim
+        assert magnetization_x(k0, p) == pytest.approx(magnetization_x(psi, p), abs=1e-12)
+        assert correlator_x(k0, p) == pytest.approx(correlator_x(psi, p), abs=1e-12)
 
     def test_rejects_wrong_model(self, at_ground):
         _, psi = at_ground

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from atxxz import cli, kernels
+from atxxz.basis import K0, SzFixed, XParity
 from atxxz.eigensolve import ConvergenceError, ground_state
 from atxxz.entanglement import (InvalidStateError, negativity, reduce_state,
                                 von_neumann)
 from atxxz.models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
                           ground_sector)
-from atxxz.observables import SymmetryViolationError
+from atxxz.observables import (Series, SymmetryViolationError, correlator_x,
+                               finite_difference, magnetization_x)
 from atxxz.sweeps import (SweepSpec, figure_presets, read_csv, resolve_block,
                           run_sweep, write_csv)
 import atxxz.sweeps as sweeps_mod
@@ -190,6 +192,84 @@ class TestRunSweep:
                 assert (r.delta, r.beta) == (p.delta, p.beta) and r.converged
                 assert abs(r.value - w) <= 1e-12
 
+    @pytest.mark.parametrize("m_sites", [2, 5, 7])
+    @pytest.mark.parametrize("sweep", ["delta", "beta"])
+    @pytest.mark.parametrize("model", [ASHKIN_TELLER, STAGGERED_XXZ])
+    def test_k0_rows_match_ground_sector(self, monkeypatch, model, sweep,
+                                         m_sites):
+        sectors = []
+        real = sweeps_mod.build_hamiltonian
+
+        def spy(p, sector):
+            sectors.append(sector)
+            return real(p, sector)
+        monkeypatch.setattr(sweeps_mod, "build_hamiltonian", spy)
+        base = ("energy", "entropy", "negativity") + (
+            ("m", "g") if model == ASHKIN_TELLER else ())
+        spec = small_spec(model=model, m_sites=m_sites, sweep=sweep,
+                          start=0.6, stop=1.4, step=0.2, delta=0.8, beta=1.1,
+                          j_coupling=1.3, block=(0, 1, 2),
+                          quantities=base + ("d1:entropy",))
+        rows = run_sweep(spec).rows
+        assert sectors == [K0(ground_sector(ModelParams(model, m_sites)))] * 2
+        grid = spec.grid()
+        want = {q: [] for q in base}
+        for x in grid:
+            p = ModelParams(model, m_sites, j_coupling=1.3,
+                            **{"delta": 0.8, "beta": 1.1, sweep: x})
+            res = ground_state(real(p, ground_sector(p)), k=2, seed=0)
+            assert not res.degenerate
+            psi = res.ground_state
+            rho = reduce_state(psi, (0, 1, 2))
+            point = {"energy": res.ground_energy, "entropy": von_neumann(rho),
+                     "negativity": negativity(rho, (0,))}
+            if model == ASHKIN_TELLER:
+                point.update(m=magnetization_x(psi, p), g=correlator_x(psi, p))
+            for q in base:
+                want[q].append(point[q])
+        want["d1:entropy"] = finite_difference(
+            Series(sweep, grid, want["entropy"])).values
+        for q in spec.quantities:
+            got = [r for r in rows if r.quantity == q]
+            assert all(r.converged for r in got)
+            assert np.abs([r.value for r in got] - np.asarray(want[q])).max() <= 1e-9
+
+    @pytest.mark.parametrize("model,sweep,start,fixed,sector", [
+        (ASHKIN_TELLER, "delta", -0.2, {}, XParity(1, 1)),
+        (ASHKIN_TELLER, "beta", 0.6, {"delta": -0.3}, XParity(1, 1)),
+        (ASHKIN_TELLER, "beta", -0.2, {}, XParity(1, 1)),
+        (STAGGERED_XXZ, "beta", -0.2, {}, SzFixed(3)),
+        (ASHKIN_TELLER, "delta", 0.0, {}, K0(XParity(1, 1))),
+        (STAGGERED_XXZ, "delta", -0.9, {}, K0(SzFixed(3)))])
+    def test_sector_from_grid_ends(self, monkeypatch, model, sweep, start,
+                                   fixed, sector):
+        # K0 only where both grid ends have beta > 0 (and, on the
+        # Ashkin-Teller chain, delta >= 0); elsewhere the ground sector
+        sectors = []
+        real = sweeps_mod.build_hamiltonian
+
+        def spy(p, sec):
+            sectors.append(sec)
+            return real(p, sec)
+        monkeypatch.setattr(sweeps_mod, "build_hamiltonian", spy)
+        run_sweep(small_spec(model=model, m_sites=3, sweep=sweep, start=start,
+                             stop=start + 0.4, step=0.2, block=(0, 1), **fixed))
+        assert sectors == [sector, sector]
+
+    def test_degenerate_point_flags_state_rows(self, caplog):
+        # at delta = -1 the Ashkin-Teller ground level is degenerate and the
+        # entropy depends on the solver's start vector
+        quantities = ("energy", "entropy", "negativity", "d1:entropy")
+        with caplog.at_level(logging.WARNING, logger="atxxz"):
+            rows = run_sweep(small_spec(m_sites=6, start=-1.0, stop=-0.9,
+                                        step=0.05, quantities=quantities)).rows
+        flags = {q: [r.converged for r in rows if r.quantity == q]
+                 for q in quantities}
+        assert flags == {"energy": [True] * 3, "entropy": [False, True, True],
+                         "negativity": [False, True, True],
+                         "d1:entropy": [False, False, True]}
+        assert "delta=-1: degenerate" in caplog.text
+
     def test_pattern_guard(self, monkeypatch):
         real = kernels.at_entries
 
@@ -249,6 +329,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "spins=6" in out
         assert "dimension 20" in out
+        assert "k=0 sector: dimension 4; it holds the ground state" in out
 
     def test_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -278,12 +359,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "E0" in out and "E2" in out
 
-    def test_spectrum_refuses_levels_beyond_dense_limit(self, capsys):
-        # three levels need the dense solver; dim 16384 exceeds its limit
-        code = cli.main(["spectrum", "--model", "at", "--m-sites", "8",
-                         "--levels", "3"])
-        assert code == cli.EXIT_ARGUMENT
-        assert "dimension 16384 > 4096" in capsys.readouterr().err
+    def test_spectrum_refuses_levels_beyond_dense_limit(self, capsys,
+                                                        monkeypatch):
+        # three levels need the dense solver; both dimensions exceed its
+        # limit, and the refusal comes before any Hamiltonian entry
+        calls = []
+        monkeypatch.setattr(kernels, "at_entries", lambda *a: calls.append(a))
+        for m, dim in ((8, 16384), (10, 262144)):
+            code = cli.main(["spectrum", "--model", "at", "--m-sites", str(m),
+                             "--levels", "3"])
+            assert code == cli.EXIT_ARGUMENT
+            assert f"dimension {dim} > 4096" in capsys.readouterr().err
+        assert calls == []
 
     def test_verify_ok(self, tmp_path, capsys):
         report = tmp_path / "report.txt"
