@@ -11,9 +11,8 @@ from .models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
                      ground_sector, k0_domain, link_variable)
 from .eigensolve import (EigenResult, ConvergenceError, dense_spectrum,
                          lanczos_ground, ground_state)
-from .entanglement import (DensityMatrix, EntanglementReport, reduce_state,
-                           partial_transpose, negativity, dsb, von_neumann,
-                           entanglement_report)
+from .entanglement import (DensityMatrix, reduce_state, partial_transpose,
+                           negativity, dsb, von_neumann)
 from .observables import (Series, finite_difference, locate_extremes,
                           magnetization_x, correlator_x)
 from .sweeps import SweepSpec, SweepResult, run_sweep, figure_presets

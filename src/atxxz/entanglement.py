@@ -29,37 +29,6 @@ class DensityMatrix:
     matrix: np.ndarray
     frame: str = "z"
 
-    @property
-    def n_sites(self):
-        return len(self.sites)
-
-    def validate(self):
-        tr = np.trace(self.matrix)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidStateError(f"trace {tr} deviates from 1")
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-12:
-            raise InvalidStateError("matrix is not Hermitian")
-        w = np.linalg.eigvalsh(self.matrix)
-        if w[0] < -PSD_WINDOW:
-            raise InvalidStateError(f"negative eigenvalue {w[0]} beyond roundoff")
-
-
-@dataclass(frozen=True)
-class EntanglementReport:
-    negativity: float
-    dsb: float
-    entropy: float
-    min_pt_eigenvalue: float
-
-
-def _spread_bits(count, positions):
-    """Index table mapping a compact integer onto scattered bit positions."""
-    out = np.zeros(1 << count, dtype=np.int64)
-    compact = np.arange(1 << count, dtype=np.int64)
-    for i, pos in enumerate(positions):
-        out |= ((compact >> i) & 1) << pos
-    return out
-
 
 def reduce_state(psi, keep):
     """Partial trace of |psi><psi| keeping the given sites (any subset)."""
@@ -74,13 +43,12 @@ def reduce_state(psi, keep):
     if len(keep) > MAX_KEPT_SITES:
         raise CapacityError(f"cannot keep more than {MAX_KEPT_SITES} sites densely")
 
-    full = psi.expand_full().normalized()
-    comp = [s for s in range(n) if s not in keep]
-    rows = _spread_bits(len(keep), keep)
-    cols = _spread_bits(len(comp), comp)
-    mat = full.amplitudes[rows[:, None] | cols[None, :]]
-    rho = mat @ mat.conj().T
-    return DensityMatrix(tuple(keep), rho, psi.basis.frame)
+    # bit s of a label is axis n-1-s of the 2^n tensor; the kept axes go to
+    # the front in reversed order, so keep[0] is rho's least significant bit
+    tens = psi.expand_full().normalized().amplitudes.reshape((2,) * n)
+    tens = np.moveaxis(tens, [n - 1 - s for s in reversed(keep)], range(len(keep)))
+    mat = tens.reshape(1 << len(keep), -1)
+    return DensityMatrix(tuple(keep), mat @ mat.conj().T, psi.basis.frame)
 
 
 def partial_transpose(rho, subsystem_a):
@@ -128,14 +96,4 @@ def von_neumann(rho):
     w = np.clip(w, 0.0, 1.0)
     w = w[w > 0.0]
     return float(-(w * np.log2(w)).sum())
-
-
-def entanglement_report(rho, subsystem_a=None):
-    lam_min = min_pt_eigenvalue(rho, subsystem_a)
-    return EntanglementReport(
-        negativity=max(0.0, -2.0 * lam_min),
-        dsb=-2.0 * lam_min,
-        entropy=von_neumann(rho),
-        min_pt_eigenvalue=lam_min,
-    )
 

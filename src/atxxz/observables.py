@@ -11,52 +11,52 @@ class SymmetryViolationError(Exception):
     """Site or species symmetry broken beyond tolerance (wrong ground state?)."""
 
 
-def _site_diagonal_average(psi, bits, tol):
-    """Per-bit <diagonal Pauli> of an x-frame state, checked for uniformity."""
-    prob = np.abs(psi.amplitudes) ** 2
-    states = psi.basis.states
-    vals = np.array([(prob * (1 - 2 * ((states >> np.int64(b)) & 1))).sum()
-                     for b in bits])
+# signs of sigma^x, tau^x and sigma^x tau^x over a site's joint probability
+# columns, sigma bit + 2 * tau bit (a set bit is x-frame eigenvalue -1)
+_SIGNS = np.array([[1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+
+
+def _site_values(psi, p, name):
+    """<sigma^x>, <tau^x> and <sigma^x tau^x> of each site, top site first.
+
+    Site j is bits 2j, 2j + 1. From the top site down, the row sums of the
+    probability vector's top two bits are the site's joint probabilities,
+    and the column sums leave the probabilities of the bits below.
+    """
+    if p.model != ASHKIN_TELLER or psi.basis.frame != "x":
+        raise ValueError(f"{name} expects an x-frame Ashkin-Teller state")
+    low = np.abs(psi.expand_full().amplitudes) ** 2
+    joint = []
+    for _ in range(p.m_sites):
+        top = low.reshape(4, -1)
+        joint.append(top.sum(axis=1))
+        low = top.sum(axis=0)
+    return np.array(joint) @ _SIGNS.T
+
+
+def _uniform(vals, what, tol):
+    """Mean of the site values, checked to agree as translation requires."""
     if vals.max() - vals.min() > tol:
         raise SymmetryViolationError(
-            f"site values spread {vals.max() - vals.min():.3e} exceeds {tol:.1e}")
-    return vals
+            f"{what} spread {vals.max() - vals.min():.3e} exceeds {tol:.1e}")
+    return vals.mean()
 
 
 def magnetization_x(psi, p, tol=1e-9):
-    """Site-averaged <sigma^x> of an Ashkin-Teller ground state.
-
-    The state must live in the x frame; sigma and tau averages are checked
-    to agree, as PBC translation invariance requires.
-    """
-    if p.model != ASHKIN_TELLER or psi.basis.frame != "x":
-        raise ValueError("magnetization_x expects an x-frame Ashkin-Teller state")
-    psi = psi.unfold()
-    sigma = _site_diagonal_average(psi, range(0, p.n_spins, 2), tol)
-    tau = _site_diagonal_average(psi, range(1, p.n_spins, 2), tol)
-    if abs(sigma.mean() - tau.mean()) > tol:
-        raise SymmetryViolationError(
-            f"sigma/tau asymmetry {abs(sigma.mean() - tau.mean()):.3e}")
-    return float((sigma.mean() + tau.mean()) / 2.0)
+    """Site-averaged <sigma^x> of an x-frame Ashkin-Teller ground state,
+    whose sigma and tau averages are checked to agree (exchange symmetry)."""
+    vals = _site_values(psi, p, "magnetization_x")
+    sigma = _uniform(vals[:, 0], "site values", tol)
+    tau = _uniform(vals[:, 1], "site values", tol)
+    if abs(sigma - tau) > tol:
+        raise SymmetryViolationError(f"sigma/tau asymmetry {abs(sigma - tau):.3e}")
+    return float((sigma + tau) / 2.0)
 
 
 def correlator_x(psi, p, tol=1e-9):
     """Site-averaged on-site correlator <sigma^x tau^x>."""
-    if p.model != ASHKIN_TELLER or psi.basis.frame != "x":
-        raise ValueError("correlator_x expects an x-frame Ashkin-Teller state")
-    psi = psi.unfold()
-    prob = np.abs(psi.amplitudes) ** 2
-    states = psi.basis.states
-    vals = []
-    for j in range(p.m_sites):
-        zs = 1 - 2 * ((states >> np.int64(2 * j)) & 1)
-        zt = 1 - 2 * ((states >> np.int64(2 * j + 1)) & 1)
-        vals.append(float((prob * zs * zt).sum()))
-    vals = np.array(vals)
-    if vals.max() - vals.min() > tol:
-        raise SymmetryViolationError(
-            f"correlator spread {vals.max() - vals.min():.3e} exceeds {tol:.1e}")
-    return float(vals.mean())
+    vals = _site_values(psi, p, "correlator_x")
+    return float(_uniform(vals[:, 2], "correlator", tol))
 
 
 @dataclass(eq=False)

@@ -9,12 +9,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import K0
+from .basis import K0, CapacityError
 from .models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
                      build_hamiltonian, ground_sector, k0_domain)
 from .eigensolve import ConvergenceError, ground_state
-from .entanglement import (InvalidStateError, dsb, negativity, reduce_state,
-                           von_neumann)
+from .entanglement import (MAX_KEPT_SITES, InvalidStateError, dsb, negativity,
+                           reduce_state, von_neumann)
 from .observables import (Series, SymmetryViolationError, correlator_x,
                           finite_difference, magnetization_x)
 
@@ -80,7 +80,10 @@ class SweepSpec:
         ground_sector(ModelParams(self.model, self.m_sites, self.j_coupling,
                                   self.start if self.sweep == "delta" else self.delta,
                                   self.beta))
-        resolve_block(self.block, self.model, 2 * self.m_sites)
+        _, sites = resolve_block(self.block, self.model, 2 * self.m_sites)
+        if len(sites) < 2 and any(q.split(":", 1)[-1] in ("negativity", "dsb")
+                                  for q in self.quantities):
+            raise ValueError("negativity and dsb need a block of two or more sites")
 
     def grid(self):
         # the tolerance absorbs float drift in (stop - start) / step
@@ -105,12 +108,6 @@ class SweepResult:
     spec: SweepSpec
     rows: list = field(default_factory=list)
 
-    def series(self, quantity):
-        """Collect one quantity back into a Series over the swept grid."""
-        rows = [r for r in self.rows if r.quantity == quantity]
-        grid = [getattr(r, self.spec.sweep) for r in rows]
-        return Series(self.spec.sweep, grid, [r.value for r in rows], quantity)
-
 
 def resolve_block(block, model, n_spins):
     """Preset name or site list -> (label, site tuple)."""
@@ -125,8 +122,11 @@ def resolve_block(block, model, n_spins):
     else:
         sites = tuple(int(s) for s in block)
         label = "+".join(str(s) for s in sites)
-    if any(s < 0 or s >= n_spins for s in sites) or len(set(sites)) != len(sites):
+    if (not sites or any(s < 0 or s >= n_spins for s in sites)
+            or len(set(sites)) != len(sites)):
         raise ValueError(f"invalid block sites {sites} for {n_spins} spins")
+    if len(sites) > MAX_KEPT_SITES:
+        raise CapacityError(f"cannot keep more than {MAX_KEPT_SITES} sites densely")
     return label, sites
 
 
@@ -140,7 +140,7 @@ def _evaluate_point(spec, h, base_quantities, sites):
     p = h.params
     try:
         res = ground_state(h, k=2, tol=spec.tol, seed=spec.seed)
-        psi = res.ground_state.unfold()
+        psi = res.ground_state.expand_full()
         out = {}
         rho = None
         for q in base_quantities:

@@ -1,10 +1,55 @@
-"""Analytic and label oracles that only the tests compare against."""
+"""Analytic and label oracles, and checks, that only the tests use."""
+
+from collections import defaultdict
 
 import numpy as np
 
 from atxxz.basis import popcount
-from atxxz.entanglement import PSD_WINDOW, DensityMatrix
+from atxxz.entanglement import (PSD_WINDOW, TRACE_TOL, DensityMatrix,
+                                InvalidStateError)
 from atxxz.models import ASHKIN_TELLER
+from atxxz.observables import Series
+
+
+def validate_density_matrix(rho):
+    """Raise InvalidStateError unless rho is unit-trace, Hermitian and PSD."""
+    tr = np.trace(rho.matrix)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise InvalidStateError(f"trace {tr} deviates from 1")
+    if np.max(np.abs(rho.matrix - rho.matrix.conj().T)) > 1e-12:
+        raise InvalidStateError("matrix is not Hermitian")
+    w = np.linalg.eigvalsh(rho.matrix)
+    if w[0] < -PSD_WINDOW:
+        raise InvalidStateError(f"negative eigenvalue {w[0]} beyond roundoff")
+
+
+def series(result, quantity):
+    """One quantity of a SweepResult as a Series over the swept grid."""
+    rows = [r for r in result.rows if r.quantity == quantity]
+    grid = [getattr(r, result.spec.sweep) for r in rows]
+    return Series(result.spec.sweep, grid, [r.value for r in rows], quantity)
+
+
+def reduce_by_labels(psi, keep):
+    """Partial trace of |psi><psi| by a loop over the sector's labels.
+
+    Each label splits into a kept part (bit i from site keep[i]) and a
+    traced part; amplitudes that share the traced part add up in rho.
+    """
+    psi = psi.unfold()
+    amps = psi.amplitudes / psi.norm
+    rest = [s for s in range(psi.basis.n_spins) if s not in keep]
+    pack = lambda label, sites: sum(((int(label) >> s) & 1) << i
+                                    for i, s in enumerate(sites))
+    by_rest = defaultdict(list)
+    for label, a in zip(psi.basis.states, amps):
+        by_rest[pack(label, rest)].append((pack(label, keep), a))
+    rho = np.zeros((1 << len(keep),) * 2, dtype=complex)
+    for entries in by_rest.values():
+        for r1, a1 in entries:
+            for r2, a2 in entries:
+                rho[r1, r2] += a1 * np.conj(a2)
+    return rho
 
 
 def classify_sector(label, p):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from atxxz.basis import CapacityError, Full, QuantumState, build_basis
+from atxxz.basis import (K0, CapacityError, Full, QuantumState, SzFixed,
+                         XParity, build_basis)
 from atxxz.entanglement import (DensityMatrix, InvalidStateError, dsb,
-                                entanglement_report, min_pt_eigenvalue,
-                                negativity, partial_transpose, reduce_state,
-                                von_neumann)
+                                min_pt_eigenvalue, negativity,
+                                partial_transpose, reduce_state, von_neumann)
 from oracles import (dimer_quartet_analytic, frontal_pair_analytic,
-                     lambda_analytic)
+                     lambda_analytic, reduce_by_labels,
+                     validate_density_matrix)
 
 
 def state(amps, n, frame="z"):
@@ -22,7 +23,7 @@ def bell(n=2):
 
 
 def reduce_oracle(psi, keep):
-    """Einsum partial trace, independent of the bit-gather implementation."""
+    """Partial trace by a transpose of the full 2^n tensor."""
     n = psi.basis.n_spins
     # numpy axis q holds bit n-1-q; order kept bits so keep[0] lands on the
     # least significant position of the row index
@@ -32,6 +33,17 @@ def reduce_oracle(psi, keep):
     k = len(keep)
     mat = tens.reshape(1 << k, -1)
     return mat @ mat.conj().T
+
+
+def oracle_states():
+    """A complex full-space state and random states of each sector kind."""
+    rng = np.random.default_rng(11)
+    states = [state(rng.normal(size=16) + 1j * rng.normal(size=16), 4)]
+    for sector, frame in ((XParity(1, -1), "x"), (SzFixed(2), "z"),
+                          (K0(XParity(1, 1)), "x"), (K0(SzFixed(3)), "z")):
+        b = build_basis(6, sector, frame)
+        states.append(QuantumState(rng.normal(size=b.dim), b))
+    return states
 
 
 class TestReduceState:
@@ -44,14 +56,17 @@ class TestReduceState:
         rho = reduce_state(state([0, 0, 1, 0], 2), [1])
         assert np.allclose(rho.matrix, np.diag([0.0, 1.0]), atol=1e-12)
 
-    @pytest.mark.parametrize("keep", [[0], [2], [0, 1], [1, 3], [3, 0], [0, 2, 3]])
+    @pytest.mark.parametrize("keep", [[0], [2], [0, 1], [1, 3], [3, 0], [0, 2, 3],
+                                      [2, 0, 3]])
     def test_matches_einsum_oracle(self, keep):
-        rng = np.random.default_rng(11)
-        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-        psi = state(amps, 4)
-        rho = reduce_state(psi, keep)
-        assert np.allclose(rho.matrix, reduce_oracle(psi, keep), atol=1e-12)
-        rho.validate()
+        # the tensor oracle shares the implementation's algorithm; the label
+        # loop reads the sector labels and never builds the 2^n vector
+        for psi in oracle_states():
+            rho = reduce_state(psi, keep)
+            assert rho.frame == psi.basis.frame
+            for oracle in (reduce_oracle, reduce_by_labels):
+                assert np.allclose(rho.matrix, oracle(psi, keep), atol=1e-12)
+            validate_density_matrix(rho)
 
     def test_complement_spectra_agree(self):
         # pure global state: rho_A and rho_B share nonzero eigenvalues
@@ -137,16 +152,7 @@ class TestMeasures:
         m = np.eye(2) / 2.0
         m[0, 1] = 0.3
         with pytest.raises(InvalidStateError):
-            DensityMatrix((0,), m).validate()
-
-    def test_report_consistency(self):
-        rng = np.random.default_rng(9)
-        psi = state(rng.normal(size=16), 4)
-        rho = reduce_state(psi, [0, 1])
-        rep = entanglement_report(rho)
-        assert rep.negativity == max(0.0, rep.dsb)
-        assert rep.dsb == pytest.approx(-2.0 * rep.min_pt_eigenvalue)
-        assert rep.entropy == pytest.approx(von_neumann(rho))
+            validate_density_matrix(DensityMatrix((0,), m))
 
 
 class TestAnalyticForms:
@@ -154,7 +160,7 @@ class TestAnalyticForms:
         rho = frontal_pair_analytic(0.4, 0.2)
         assert np.allclose(np.diag(rho.matrix), [0.5, 0.2, 0.2, 0.1])
         assert rho.frame == "x"
-        rho.validate()
+        validate_density_matrix(rho)
 
     def test_frontal_pair_validation(self):
         with pytest.raises(ValueError):
@@ -177,7 +183,7 @@ class TestAnalyticForms:
         assert rho.shape == (16, 16)
         assert np.trace(rho) == pytest.approx(1.0)
         d = DensityMatrix((0, 1, 2, 3), rho)
-        d.validate()
+        validate_density_matrix(d)
         assert von_neumann(d) == pytest.approx(2.0, abs=1e-12)
         # edge qubits are maximally mixed
         half = np.eye(2) / 2.0

@@ -10,9 +10,10 @@ from atxxz.observables import (Series, SymmetryViolationError, correlator_x,
                                magnetization_x)
 
 
-@pytest.fixture(scope="module")
-def at_ground():
-    p = ModelParams(ASHKIN_TELLER, 3, delta=0.8, beta=1.2)
+@pytest.fixture(scope="module", params=[1, 2, 3])
+def at_ground(request):
+    # at M = 1 the sigma and tau bits are the whole label
+    p = ModelParams(ASHKIN_TELLER, request.param, delta=0.8, beta=1.2)
     res = dense_spectrum(build_hamiltonian(p, ground_sector(p)))
     return p, res.ground_state
 
@@ -36,12 +37,18 @@ class TestMagnetization:
         # a K0 vector is spread over its orbits before the averages
         p, psi = at_ground
         k0 = dense_spectrum(build_hamiltonian(p, K0(ground_sector(p)))).ground_state
-        assert k0.basis.dim < psi.basis.dim
+        assert k0.basis.dim < psi.basis.dim or p.m_sites == 1
+        m = np.mean([expectation(k0, pauli((b, "x"))) for b in range(p.n_spins)])
+        g = np.mean([expectation(k0, pauli((2 * j, "x"), (2 * j + 1, "x")))
+                     for j in range(p.m_sites)])
+        assert magnetization_x(k0, p) == pytest.approx(m, abs=1e-12)
+        assert correlator_x(k0, p) == pytest.approx(g, abs=1e-12)
         assert magnetization_x(k0, p) == pytest.approx(magnetization_x(psi, p), abs=1e-12)
         assert correlator_x(k0, p) == pytest.approx(correlator_x(psi, p), abs=1e-12)
 
-    def test_rejects_wrong_model(self, at_ground):
-        _, psi = at_ground
+    def test_rejects_wrong_model(self):
+        p = ModelParams(ASHKIN_TELLER, 3)
+        psi = dense_spectrum(build_hamiltonian(p, ground_sector(p))).ground_state
         p_xxz = ModelParams(STAGGERED_XXZ, 3)
         with pytest.raises(ValueError):
             magnetization_x(psi, p_xxz)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from atxxz import cli, kernels
-from atxxz.basis import K0, SzFixed, XParity
+from atxxz.basis import K0, CapacityError, SzFixed, XParity
 from atxxz.eigensolve import ConvergenceError, ground_state
 from atxxz.entanglement import (InvalidStateError, negativity, reduce_state,
                                 von_neumann)
@@ -15,6 +15,7 @@ from atxxz.observables import (Series, SymmetryViolationError, correlator_x,
 from atxxz.sweeps import (SweepSpec, figure_presets, read_csv, resolve_block,
                           run_sweep, write_csv)
 import atxxz.sweeps as sweeps_mod
+from oracles import series
 
 
 def small_spec(**kw):
@@ -69,7 +70,9 @@ class TestSweepSpec:
         {"block": "no-such-preset"}, {"block": "nn-pair"}, {"block": (0, 4)},
         {"block": (1, 1)}, {"stop": np.inf}, {"start": np.nan},
         {"step": np.nan}, {"tol": np.nan}, {"tol": -1.0}, {"tol": 0.0},
-        {"beta": np.nan}])
+        {"beta": np.nan}, {"block": ()},
+        {"block": (0,), "quantities": ("negativity",)},
+        {"block": (1,), "quantities": ("energy", "d1:dsb")}])
     def test_refused_before_any_build(self, kw, monkeypatch):
         builds = []
         monkeypatch.setattr(sweeps_mod, "build_hamiltonian",
@@ -79,6 +82,14 @@ class TestSweepSpec:
         assert builds == []
         with pytest.raises(ValueError):
             small_spec(**kw)  # the spec itself refuses, not run_sweep
+
+    def test_block_beyond_dense_trace_refused_before_any_build(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(sweeps_mod, "build_hamiltonian",
+                            lambda *a: builds.append(a))
+        with pytest.raises(CapacityError):
+            run_sweep(small_spec(m_sites=8, block=tuple(range(15))))
+        assert builds == []
 
 
 class TestResolveBlock:
@@ -97,28 +108,32 @@ class TestResolveBlock:
             resolve_block("nn-pair", ASHKIN_TELLER, 8)
         with pytest.raises(ValueError):
             resolve_block((0, 9), ASHKIN_TELLER, 8)
+        with pytest.raises(ValueError):
+            resolve_block((), ASHKIN_TELLER, 8)
+        with pytest.raises(CapacityError):
+            resolve_block(range(15), ASHKIN_TELLER, 16)
 
 
 class TestRunSweep:
     def test_rows_and_series(self):
         result = run_sweep(small_spec())
         assert len(result.rows) == 6  # 3 grid points x 2 quantities
-        s = result.series("energy")
+        s = series(result, "energy")
         assert np.allclose(s.grid, [0.5, 0.6, 0.7])
         assert np.all(np.diff(s.values) < 0)  # energy decreases with delta
 
     def test_derivative_quantity(self):
         spec = small_spec(stop=0.9, quantities=("entropy", "d1:entropy"))
         result = run_sweep(spec)
-        s = result.series("entropy")
-        d = result.series("d1:entropy")
+        s = series(result, "entropy")
+        d = series(result, "d1:entropy")
         inner = (s.values[2:] - s.values[:-2]) / (2 * 0.1)
         assert np.allclose(d.values[1:-1], inner, atol=1e-12)
 
     def test_m_and_g_quantities(self):
         result = run_sweep(small_spec(quantities=("m", "g")))
         for q in ("m", "g"):
-            vals = result.series(q).values
+            vals = series(result, q).values
             assert np.all(np.abs(vals) <= 1.0)
 
     def test_unconverged_rows_are_nan(self, monkeypatch):
