@@ -149,8 +149,9 @@ def _cmd_spectrum(args):
     p = ModelParams(args.model, args.m_sites, delta=args.delta, beta=args.beta)
     sector = ground_sector(p) if args.sector == "ground" else Full()
     # refuse a solve beyond capacity from the sector dimension, before H exists
-    solver_path(build_basis(p.n_spins, sector, frame=FRAMES[p.model]).dim, args.levels)
-    h = build_hamiltonian(p, sector)
+    basis = build_basis(p.n_spins, sector, frame=FRAMES[p.model])
+    solver_path(basis.dim, args.levels)
+    h = build_hamiltonian(p, basis)
     res = ground_state(h, k=args.levels, tol=args.tol, seed=args.seed)
     print(f"model={p.model} spins={p.n_spins} sector={sector} dim={h.dim}")
     for i, e in enumerate(res.energies):

@@ -1,10 +1,10 @@
 """Hot kernels: COO entry generation for the sparse Hamiltonians.
 
-Each kernel applies H to every basis label and emits (targets, cols, vals):
-the label each term maps to, the column of the source label and the matrix
-element, vectorized with one numpy pass per term. The basis turns target
-labels into rows; duplicate (row, col) pairs are summed by the CSR
-conversion.
+Both kernels take (states, m_sites, j_coupling, beta, delta), apply H to
+every basis label and emit (targets, cols, vals): the label each term maps
+to, the column of the source label and the matrix element, vectorized with
+one numpy pass per term. The basis turns target labels into rows; duplicate
+(row, col) pairs are summed by the CSR conversion.
 """
 
 import numpy as np
@@ -13,15 +13,17 @@ import numpy as np
 NUMBA_ENABLED = False
 
 
-def xxz_entries(states, bond_a, bond_b, coupling, delta):
-    """Staggered XXZ in the z frame: -c(XX+YY) + c*delta*ZZ per bond."""
+def xxz_entries(states, m_sites, j_coupling, beta, delta):
+    """Staggered XXZ in the z frame: -c(XX+YY) + c*delta*ZZ on each ring bond
+    (i, i+1), with c = J for even i and c = J*beta for odd i."""
+    n = 2 * m_sites
     dim = len(states)
     idx = np.arange(dim, dtype=np.int64)
     diag = np.zeros(dim)
-    targets = [states]
-    cols = [idx]
-    vals = [diag]
-    for a, b, c in zip(bond_a, bond_b, coupling):
+    targets, cols, vals = [states], [idx], [diag]
+    for a in range(n):
+        b = (a + 1) % n
+        c = j_coupling if a % 2 == 0 else j_coupling * beta
         za = 1 - 2 * ((states >> np.int64(a)) & 1)
         zb = 1 - 2 * ((states >> np.int64(b)) & 1)
         diag += c * delta * za * zb
@@ -40,9 +42,7 @@ def at_entries(states, m_sites, j_coupling, beta, delta):
     dim = len(states)
     idx = np.arange(dim, dtype=np.int64)
     diag = np.zeros(dim)
-    targets = [states]
-    cols = [idx]
-    vals = [diag]
+    targets, cols, vals = [states], [idx], [diag]
     for j in range(m_sites):
         zs = 1 - 2 * ((states >> np.int64(2 * j)) & 1)
         zt = 1 - 2 * ((states >> np.int64(2 * j + 1)) & 1)

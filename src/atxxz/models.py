@@ -93,38 +93,29 @@ def k0_domain(p):
 
 
 def build_hamiltonian(p, sector=Full()):
-    """Assemble the model Hamiltonian restricted to ``sector``.
+    """Assemble the model Hamiltonian restricted to ``sector``, which may be
+    the SpinBasis of an earlier build (``h.basis``), not enumerated again.
 
     In a K0 sector the element between orbit states r' and r is
     sqrt(N_r / N_r') times the sum of <s'|H|r> over s' in the orbit of r'.
     """
+    basis = sector if isinstance(sector, SpinBasis) else None
+    if basis is not None:
+        if (basis.n_spins, basis.frame) != (p.n_spins, FRAMES[p.model]):
+            raise ValueError(f"a {basis.n_spins}-spin {basis.frame}-frame basis "
+                             f"does not fit the {p.n_spins}-spin {p.model} chain")
+        sector = basis.sector
     parent = sector.parent if isinstance(sector, K0) else sector
     if isinstance(parent, SzFixed) and p.model != STAGGERED_XXZ:
         raise ValueError("SzFixed sectors apply to the XXZ chain only")
     if isinstance(parent, XParity) and p.model != ASHKIN_TELLER:
         raise ValueError("XParity sectors apply to the Ashkin-Teller chain only")
 
-    n = p.n_spins
-    basis = build_basis(n, sector, frame=FRAMES[p.model])
-    if p.model == STAGGERED_XXZ:
-        bond_a = []
-        bond_b = []
-        coupling = []
-        for j in range(p.m_sites):
-            bond_a.append(2 * j)
-            bond_b.append(2 * j + 1)
-            coupling.append(p.j_coupling)
-            bond_a.append(2 * j + 1)
-            bond_b.append((2 * j + 2) % n)
-            coupling.append(p.j_coupling * p.beta)
-        targets, cols, vals = kernels.xxz_entries(
-            basis.states, np.asarray(bond_a, dtype=np.int64),
-            np.asarray(bond_b, dtype=np.int64), np.asarray(coupling),
-            float(p.delta))
-    else:
-        targets, cols, vals = kernels.at_entries(
-            basis.states, p.m_sites, float(p.j_coupling), float(p.beta),
-            float(p.delta))
+    if basis is None:
+        basis = build_basis(p.n_spins, sector, frame=FRAMES[p.model])
+    entries = kernels.at_entries if p.model == ASHKIN_TELLER else kernels.xxz_entries
+    targets, cols, vals = entries(basis.states, p.m_sites, float(p.j_coupling),
+                                  float(p.beta), float(p.delta))
     rows = basis.index_of(targets)
     if basis.sizes is not None:
         vals = vals * np.sqrt(basis.sizes[cols] / basis.sizes[rows])

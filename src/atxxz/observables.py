@@ -25,6 +25,9 @@ def _site_values(psi, p, name):
     """
     if p.model != ASHKIN_TELLER or psi.basis.frame != "x":
         raise ValueError(f"{name} expects an x-frame Ashkin-Teller state")
+    if p.n_spins != psi.basis.n_spins:
+        raise ValueError(f"{name}: a {psi.basis.n_spins}-spin state for a "
+                         f"{p.n_spins}-spin chain")
     low = np.abs(psi.expand_full().amplitudes) ** 2
     joint = []
     for _ in range(p.m_sites):

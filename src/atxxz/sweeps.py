@@ -67,6 +67,8 @@ class SweepSpec:
             raise ValueError("start must be below stop")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if not self.quantities:
+            raise ValueError("a sweep needs at least one quantity")
         for q in self.quantities:
             base = q.split(":", 1)[-1]
             if base not in BASE_QUANTITIES or (
@@ -179,14 +181,14 @@ def run_sweep(spec):
     grid = spec.grid()
     base = sorted({q.split(":", 1)[-1] for q in spec.quantities})
 
-    # H(x) = A + x B with one sparsity pattern: build twice, then rewrite data
+    # H(x) = A + x B with one sparsity pattern: H(0), H(1) on its basis, then data
     p = ModelParams(spec.model, spec.m_sites, spec.j_coupling, spec.delta, spec.beta)
     p0, p1 = (replace(p, **{spec.sweep: x}) for x in (0.0, 1.0))
     sector = ground_sector(p0)
     if all(k0_domain(replace(p, **{spec.sweep: x})) for x in (grid[0], grid[-1])):
         sector = K0(sector)
-    a = build_hamiltonian(p0, sector).matrix
-    h = build_hamiltonian(p1, sector)
+    h = build_hamiltonian(p0, sector)
+    a, h = h.matrix, build_hamiltonian(p1, h.basis)
     if not (np.array_equal(a.indptr, h.matrix.indptr)
             and np.array_equal(a.indices, h.matrix.indices)):
         raise RuntimeError(f"{spec.model} sparsity pattern depends on {spec.sweep}")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,29 @@ class TestBuildHamiltonian:
             build_hamiltonian(ModelParams(ASHKIN_TELLER, 2), SzFixed(2))
         with pytest.raises(ValueError):
             build_hamiltonian(ModelParams(STAGGERED_XXZ, 2), XParity(1, 1))
+
+    @pytest.mark.parametrize("model", [ASHKIN_TELLER, STAGGERED_XXZ])
+    @pytest.mark.parametrize("m_sites", [1, 2, 3, 4])
+    def test_build_on_earlier_basis(self, model, m_sites):
+        # H assembled on h.basis equals H built from the sector, bit for bit
+        p = ModelParams(model, m_sites, j_coupling=1.3, delta=0.7, beta=1.2)
+        q = replace(p, delta=-0.4, beta=-0.6)
+        for sector in (Full(), ground_sector(p), K0(ground_sector(p))):
+            a = build_hamiltonian(q, sector).matrix
+            b = build_hamiltonian(q, build_hamiltonian(p, sector).basis).matrix
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(a, attr), getattr(b, attr))
+
+    def test_misfit_basis_refused(self):
+        at = build_hamiltonian(ModelParams(ASHKIN_TELLER, 2), Full()).basis
+        with pytest.raises(ValueError, match="does not fit"):
+            build_hamiltonian(ModelParams(ASHKIN_TELLER, 3), at)
+        with pytest.raises(ValueError, match="does not fit"):
+            build_hamiltonian(ModelParams(STAGGERED_XXZ, 2), at)  # x frame
+        for sector in (Full(), SzFixed(2)):  # z-frame bases
+            xxz = build_hamiltonian(ModelParams(STAGGERED_XXZ, 2), sector).basis
+            with pytest.raises(ValueError, match="does not fit"):
+                build_hamiltonian(ModelParams(ASHKIN_TELLER, 2), xxz)
 
     @pytest.mark.parametrize("model", [ASHKIN_TELLER, STAGGERED_XXZ])
     def test_ground_sector_refuses_delta_below_minus_one(self, model):

@@ -54,6 +54,13 @@ class TestMagnetization:
             magnetization_x(psi, p_xxz)
         with pytest.raises(ValueError):
             correlator_x(psi, p_xxz)
+        # a chain of another size, shorter or longer than the state's
+        for m_sites in (2, 5):
+            wrong = ModelParams(ASHKIN_TELLER, m_sites)
+            for fn in (magnetization_x, correlator_x):
+                with pytest.raises(ValueError,
+                                   match=f"6-spin state for a {2 * m_sites}-spin"):
+                    fn(psi, wrong)
 
     def test_detects_broken_symmetry(self):
         # a basis state concentrated on one label is not translation invariant

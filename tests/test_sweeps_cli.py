@@ -14,6 +14,7 @@ from atxxz.observables import (Series, SymmetryViolationError, correlator_x,
                                finite_difference, magnetization_x)
 from atxxz.sweeps import (SweepSpec, figure_presets, read_csv, resolve_block,
                           run_sweep, write_csv)
+import atxxz.models as models_mod
 import atxxz.sweeps as sweeps_mod
 from oracles import series
 
@@ -72,7 +73,7 @@ class TestSweepSpec:
         {"step": np.nan}, {"tol": np.nan}, {"tol": -1.0}, {"tol": 0.0},
         {"beta": np.nan}, {"block": ()},
         {"block": (0,), "quantities": ("negativity",)},
-        {"block": (1,), "quantities": ("energy", "d1:dsb")}])
+        {"block": (1,), "quantities": ("energy", "d1:dsb")}, {"quantities": ()}])
     def test_refused_before_any_build(self, kw, monkeypatch):
         builds = []
         monkeypatch.setattr(sweeps_mod, "build_hamiltonian",
@@ -191,12 +192,20 @@ class TestRunSweep:
             builds.append(p)
             return real(p, sector)
         monkeypatch.setattr(sweeps_mod, "build_hamiltonian", counted)
+        bases = []
+        real_basis = models_mod.build_basis
+
+        def counted_basis(*args, **kw):
+            bases.append(args)
+            return real_basis(*args, **kw)
+        monkeypatch.setattr(models_mod, "build_basis", counted_basis)
         spec = small_spec(model=model, m_sites=m_sites, sweep=sweep,
                           start=-0.4, stop=0.4, step=0.2, delta=0.7, beta=1.2,
                           j_coupling=1.3, block=(0, 1),
                           quantities=("energy", "entropy", "negativity"))
         rows = run_sweep(spec).rows
         assert len(builds) == 2  # H(0) and H(1), whatever the grid length
+        assert len(bases) == 1  # both on one enumerated basis
         for i, x in enumerate(spec.grid()):
             p = ModelParams(model, m_sites, j_coupling=1.3,
                             **{"delta": 0.7, "beta": 1.2, sweep: x})
@@ -216,7 +225,8 @@ class TestRunSweep:
         real = sweeps_mod.build_hamiltonian
 
         def spy(p, sector):
-            sectors.append(sector)
+            # the second build gets the first one's basis
+            sectors.append(getattr(sector, "sector", sector))
             return real(p, sector)
         monkeypatch.setattr(sweeps_mod, "build_hamiltonian", spy)
         base = ("energy", "entropy", "negativity") + (
@@ -264,7 +274,7 @@ class TestRunSweep:
         real = sweeps_mod.build_hamiltonian
 
         def spy(p, sec):
-            sectors.append(sec)
+            sectors.append(getattr(sec, "sector", sec))
             return real(p, sec)
         monkeypatch.setattr(sweeps_mod, "build_hamiltonian", spy)
         run_sweep(small_spec(model=model, m_sites=3, sweep=sweep, start=start,
@@ -368,11 +378,19 @@ class TestCli:
         assert cli.main(["figure", "fig4", "--out", str(tmp_path)]) == 0
         assert len(calls) == 3
 
-    def test_spectrum(self, capsys):
+    def test_spectrum(self, capsys, monkeypatch):
+        # one basis serves the capacity refusal and the build
+        bases = []
+        for module in (cli, models_mod):
+            def counted(*args, real=module.build_basis, **kw):
+                bases.append(args)
+                return real(*args, **kw)
+            monkeypatch.setattr(module, "build_basis", counted)
         assert cli.main(["spectrum", "--model", "xxz", "--m-sites", "2",
                          "--levels", "3"]) == 0
         out = capsys.readouterr().out
         assert "E0" in out and "E2" in out
+        assert len(bases) == 1
 
     def test_spectrum_refuses_levels_beyond_dense_limit(self, capsys,
                                                         monkeypatch):
