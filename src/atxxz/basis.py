@@ -174,9 +174,6 @@ class QuantumState:
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self):
-        return QuantumState(self.amplitudes / self.norm, self.basis)
-
     def unfold(self):
         """The same state over the parent basis of a K0 sector (else itself):
         psi(s) = c_r / sqrt(N_r), with r the orbit of s and N_r its size."""
@@ -287,11 +284,11 @@ def apply_pauli_string(string, psi):
     return QuantumState(out, psi.basis)
 
 
-def expectation(psi, string, imag_tol=1e-10):
+def expectation(psi, string):
     """<psi| string |psi> for a normalized state; must be real."""
     psi = psi.unfold()
     spsi = apply_pauli_string(string, psi)
     val = np.vdot(psi.amplitudes, spsi.amplitudes)
-    if abs(np.imag(val)) > imag_tol:
+    if abs(np.imag(val)) > 1e-10:
         raise ValueError(f"non-real expectation value {val} (non-Hermitian string?)")
     return float(np.real(val))

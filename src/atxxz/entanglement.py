@@ -31,7 +31,7 @@ class DensityMatrix:
 
 
 def reduce_state(psi, keep):
-    """Partial trace of |psi><psi| keeping the given sites (any subset)."""
+    """Unit-trace partial trace of |psi><psi| keeping the given sites."""
     keep = list(keep)
     n = psi.basis.n_spins
     if not keep:
@@ -45,10 +45,11 @@ def reduce_state(psi, keep):
 
     # bit s of a label is axis n-1-s of the 2^n tensor; the kept axes go to
     # the front in reversed order, so keep[0] is rho's least significant bit
-    tens = psi.expand_full().normalized().amplitudes.reshape((2,) * n)
+    tens = psi.expand_full().amplitudes.reshape((2,) * n)
     tens = np.moveaxis(tens, [n - 1 - s for s in reversed(keep)], range(len(keep)))
     mat = tens.reshape(1 << len(keep), -1)
-    return DensityMatrix(tuple(keep), mat @ mat.conj().T, psi.basis.frame)
+    rho = mat @ mat.conj().T
+    return DensityMatrix(tuple(keep), rho / np.trace(rho).real, psi.basis.frame)
 
 
 def partial_transpose(rho, subsystem_a):

@@ -11,6 +11,10 @@ class SymmetryViolationError(Exception):
     """Site or species symmetry broken beyond tolerance (wrong ground state?)."""
 
 
+# largest spread of site values, and sigma/tau difference, read as symmetric
+SYMMETRY_TOL = 1e-9
+
+
 # signs of sigma^x, tau^x and sigma^x tau^x over a site's joint probability
 # columns, sigma bit + 2 * tau bit (a set bit is x-frame eigenvalue -1)
 _SIGNS = np.array([[1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
@@ -37,29 +41,29 @@ def _site_values(psi, p, name):
     return np.array(joint) @ _SIGNS.T
 
 
-def _uniform(vals, what, tol):
+def _uniform(vals, what):
     """Mean of the site values, checked to agree as translation requires."""
-    if vals.max() - vals.min() > tol:
-        raise SymmetryViolationError(
-            f"{what} spread {vals.max() - vals.min():.3e} exceeds {tol:.1e}")
+    if vals.max() - vals.min() > SYMMETRY_TOL:
+        raise SymmetryViolationError(f"{what} spread {vals.max() - vals.min():.3e}"
+                                     f" exceeds {SYMMETRY_TOL:.1e}")
     return vals.mean()
 
 
-def magnetization_x(psi, p, tol=1e-9):
+def magnetization_x(psi, p):
     """Site-averaged <sigma^x> of an x-frame Ashkin-Teller ground state,
     whose sigma and tau averages are checked to agree (exchange symmetry)."""
     vals = _site_values(psi, p, "magnetization_x")
-    sigma = _uniform(vals[:, 0], "site values", tol)
-    tau = _uniform(vals[:, 1], "site values", tol)
-    if abs(sigma - tau) > tol:
+    sigma = _uniform(vals[:, 0], "site values")
+    tau = _uniform(vals[:, 1], "site values")
+    if abs(sigma - tau) > SYMMETRY_TOL:
         raise SymmetryViolationError(f"sigma/tau asymmetry {abs(sigma - tau):.3e}")
     return float((sigma + tau) / 2.0)
 
 
-def correlator_x(psi, p, tol=1e-9):
+def correlator_x(psi, p):
     """Site-averaged on-site correlator <sigma^x tau^x>."""
     vals = _site_values(psi, p, "correlator_x")
-    return float(_uniform(vals[:, 2], "correlator", tol))
+    return float(_uniform(vals[:, 2], "correlator"))
 
 
 @dataclass(eq=False)

@@ -69,6 +69,8 @@ class SweepSpec:
             raise ValueError("tol must be positive")
         if not self.quantities:
             raise ValueError("a sweep needs at least one quantity")
+        if len(set(self.quantities)) != len(self.quantities):
+            raise ValueError(f"repeated quantity in {tuple(self.quantities)}")
         for q in self.quantities:
             base = q.split(":", 1)[-1]
             if base not in BASE_QUANTITIES or (
@@ -257,10 +259,6 @@ def read_csv(path):
 
 # --- figure presets -------------------------------------------------------
 
-def _sizes(reduced, full_flag, full):
-    return full if full_flag else reduced
-
-
 def figure_presets(name, full=False, out_dir="."):
     """Sweep specs for one of the named reference figures (reduced sizes).
 
@@ -275,19 +273,19 @@ def figure_presets(name, full=False, out_dir="."):
 
     if name == "fig3":
         # pairwise negativity and separability distance, three pair choices
-        for m in _sizes([6], full, [10]):
+        for m in ([10] if full else [6]):
             for block in ("sigma-sigma-pair", "sigma-tau-cross-pair",
                           "frontal-pair"):
                 add(m, block, model=ASHKIN_TELLER, sweep="delta",
                     start=-0.5, stop=2.0, step=0.025, beta=1.0,
                     quantities=("negativity", "dsb"), block=block)
     elif name == "fig4":
-        for m in _sizes([3, 4, 6], full, [3, 4, 10]):
+        for m in ([3, 4, 10] if full else [3, 4, 6]):
             add(m, "frontal-pair", model=ASHKIN_TELLER, sweep="delta",
                 start=-0.5, stop=2.0, step=0.025, beta=1.0,
                 quantities=("negativity", "dsb"), block="frontal-pair")
     elif name == "fig6":
-        for m in _sizes([3, 4, 5, 6, 7, 8], full, [3, 4, 5, 6, 7, 10]):
+        for m in ([3, 4, 5, 6, 7, 10] if full else [3, 4, 5, 6, 7, 8]):
             add(m, "frontal-pair", model=ASHKIN_TELLER, sweep="delta",
                 start=0.5, stop=1.5, step=0.025, beta=1.0,
                 quantities=("entropy", "d1:entropy"), block="frontal-pair")
@@ -297,20 +295,20 @@ def figure_presets(name, full=False, out_dir="."):
         # (c) four alternating sigma spins
         blocks = {"contiguous": (0, 1, 2, 3), "split": (0, 1, 4, 5),
                   "alternating": (0, 2, 4, 6)}
-        for m in _sizes([6], full, [10]):
+        for m in ([10] if full else [6]):
             for tag, sites in blocks.items():
                 add(m, tag, model=ASHKIN_TELLER, sweep="delta",
                     start=0.5, stop=1.5, step=0.025, beta=1.0,
                     quantities=("entropy", "d1:entropy"), block=sites)
     elif name in ("fig8", "fig9"):
         block = "frontal-pair" if name == "fig8" else "quartet"
-        for m in _sizes([6], full, [10]):
+        for m in ([10] if full else [6]):
             for beta in (0.5, 0.75, 1.0, 1.25, 1.75):
                 add(m, f"beta{beta:g}", model=ASHKIN_TELLER, sweep="delta",
                     start=0.5, stop=1.5, step=0.025, beta=beta,
                     quantities=("entropy", "d1:entropy"), block=block)
     elif name == "fig10":
-        for m in _sizes([4], full, [4, 10]):
+        for m in ([4, 10] if full else [4]):
             add(m, "quartet", model=ASHKIN_TELLER, sweep="beta",
                 start=0.1, stop=3.0, step=0.025, delta=5.0,
                 quantities=("entropy", "d1:entropy"), block="quartet")

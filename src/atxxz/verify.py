@@ -104,17 +104,16 @@ def check_link_algebra(model, m_sites, variables=None):
     return VerificationReport("link-algebra", n, {"model": model}, dev, 1e-12)
 
 
-def _solved_ground(p, seed=0, tol=1e-10):
-    h = build_hamiltonian(p, ground_sector(p))
-    return ground_state(h, tol=tol, seed=seed)
+def _solved_ground(p):
+    return ground_state(build_hamiltonian(p, ground_sector(p)))
 
 
-def check_constraints_on_ground_state(p, state=None, seed=0):
+def check_constraints_on_ground_state(p, state=None):
     """Product-operator constraints applied to the ground state."""
     _check_size("constraints", p.m_sites)
     notes = ""
     if state is None:
-        res = _solved_ground(p, seed=seed)
+        res = _solved_ground(p)
         if res.degenerate:
             notes = "inconclusive: degenerate ground state"
         state = res.ground_state
@@ -165,30 +164,30 @@ def check_constraints_on_ground_state(p, state=None, seed=0):
         float("nan") if notes else dev, 1e-9, notes or "; ".join(details))
 
 
-def check_energy_equivalence(delta, beta, m_sites, tol=1e-8, seed=0):
+def check_energy_equivalence(delta, beta, m_sites):
     """|E0(AT, M) - E0(XXZ, 2M)| inside the respective ground sectors."""
     _check_size("energy", m_sites)
     e_at = _solved_ground(ModelParams(ASHKIN_TELLER, m_sites, delta=delta,
-                                      beta=beta), seed=seed).ground_energy
+                                      beta=beta)).ground_energy
     e_xxz = _solved_ground(ModelParams(STAGGERED_XXZ, m_sites, delta=delta,
-                                       beta=beta), seed=seed).ground_energy
+                                       beta=beta)).ground_energy
     return VerificationReport(
         "energy-equivalence", 2 * m_sites,
-        {"delta": delta, "beta": beta}, abs(e_at - e_xxz), tol,
+        {"delta": delta, "beta": beta}, abs(e_at - e_xxz), 1e-8,
         f"E0={e_at:.10f}")
 
 
-def check_density_equality(delta, beta, m_sites, tol=1e-9, seed=0):
+def check_density_equality(delta, beta, m_sites):
     """Frontal-pair vs intra-dimer-pair reduced matrices, eigenvalue match."""
     _check_size("density", m_sites)
     p_at = ModelParams(ASHKIN_TELLER, m_sites, delta=delta, beta=beta)
     p_xxz = ModelParams(STAGGERED_XXZ, m_sites, delta=delta, beta=beta)
-    res_at = _solved_ground(p_at, seed=seed)
-    res_xxz = _solved_ground(p_xxz, seed=seed)
+    res_at = _solved_ground(p_at)
+    res_xxz = _solved_ground(p_xxz)
     if res_at.degenerate or res_xxz.degenerate:
         return VerificationReport(
             "density-equality", 2 * m_sites,
-            {"delta": delta, "beta": beta}, float("nan"), tol,
+            {"delta": delta, "beta": beta}, float("nan"), 1e-9,
             "inconclusive: degenerate ground state")
 
     rho_at = reduce_state(res_at.ground_state, (0, 1))
@@ -210,10 +209,10 @@ def check_density_equality(delta, beta, m_sites, tol=1e-9, seed=0):
     dev = max(dev, abs(u - p_corr), abs(v + q_corr))
     return VerificationReport(
         "density-equality", 2 * m_sites,
-        {"delta": delta, "beta": beta}, dev, tol, notes)
+        {"delta": delta, "beta": beta}, dev, 1e-9, notes)
 
 
-def check_spectral_inclusion(delta, beta, m_sites, tol=1e-8):
+def check_spectral_inclusion(delta, beta, m_sites):
     """Every AT Q=0 level appears in the full XXZ spectrum (dense, M <= 3)."""
     _check_size("spectral-inclusion", m_sites)
     p_at = ModelParams(ASHKIN_TELLER, m_sites, delta=delta, beta=beta)
@@ -222,6 +221,7 @@ def check_spectral_inclusion(delta, beta, m_sites, tol=1e-8):
     xxz_levels = dense_spectrum(build_hamiltonian(p_xxz, Full())).energies
 
     # greedy multiset inclusion on sorted lists
+    tol = 1e-8
     dev = 0.0
     i = 0
     for e in at_levels:

@@ -25,9 +25,10 @@ def bell(n=2):
 def reduce_oracle(psi, keep):
     """Partial trace by a transpose of the full 2^n tensor."""
     n = psi.basis.n_spins
+    amps = psi.expand_full().amplitudes
     # numpy axis q holds bit n-1-q; order kept bits so keep[0] lands on the
     # least significant position of the row index
-    tens = np.transpose(psi.expand_full().normalized().amplitudes.reshape(
+    tens = np.transpose((amps / np.linalg.norm(amps)).reshape(
         (2,) * n), [n - 1 - s for s in reversed(keep)] +
         [n - 1 - s for s in range(n) if s not in keep])
     k = len(keep)

@@ -73,7 +73,8 @@ class TestSweepSpec:
         {"step": np.nan}, {"tol": np.nan}, {"tol": -1.0}, {"tol": 0.0},
         {"beta": np.nan}, {"block": ()},
         {"block": (0,), "quantities": ("negativity",)},
-        {"block": (1,), "quantities": ("energy", "d1:dsb")}, {"quantities": ()}])
+        {"block": (1,), "quantities": ("energy", "d1:dsb")}, {"quantities": ()},
+        {"quantities": ("entropy", "entropy")}])
     def test_refused_before_any_build(self, kw, monkeypatch):
         builds = []
         monkeypatch.setattr(sweeps_mod, "build_hamiltonian",
