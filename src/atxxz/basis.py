@@ -14,6 +14,10 @@ MAX_SPINS = 28  # one dense state vector stays under 8 GB
 
 _CHUNK = 1 << 22  # basis enumeration chunk size
 
+# bit-reversed value of each byte
+_REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)],
+                          dtype=np.int64)
+
 
 class CapacityError(Exception):
     """Requested object exceeds the supported problem size."""
@@ -70,7 +74,9 @@ class SpinBasis:
     """Ordered list of basis labels, optionally restricted to a sector."""
 
     n_spins: int
-    states: np.ndarray  # strictly increasing int64 labels
+    # strictly increasing int64 labels; None on a Full basis that leaves its
+    # labels 0 .. 2^n - 1 implicit
+    states: Optional[np.ndarray]
     sector: object = field(default_factory=Full)
     frame: str = "z"  # "z" or "x": which single-spin Pauli is diagonal
     # K0 sectors only: the parent sector's basis, the row of each parent
@@ -81,7 +87,7 @@ class SpinBasis:
 
     @property
     def dim(self):
-        return len(self.states)
+        return 1 << self.n_spins if self.states is None else len(self.states)
 
     def index_of(self, labels):
         """Rows of the given labels (in a K0 sector, of their orbits);
@@ -150,14 +156,27 @@ def _k0_basis(n_spins, sector, frame):
     else:
         raise ValueError(f"K0 refines XParity(p, p) or SzFixed(n/2), not {sector.parent!r}")
     s = parent.states
+    # reflection: reverse the bytes of the label, each through the table,
+    # then drop the padding bits above n_spins
+    n_bytes = -(-n_spins // 8)
     mirror = np.zeros_like(s)
-    for i in range(n_spins):
-        mirror |= ((s >> i) & 1) << (n_spins - 1 - i)
+    for j in range(n_bytes):
+        mirror |= _REVERSED_BYTE[(s >> (8 * j)) & 255] << (8 * (n_bytes - 1 - j))
+    mirror >>= 8 * n_bytes - n_spins
+    # rep = smallest label of the orbit, over every rotation of each image
     rep = s.copy()
+    rot, low = np.empty_like(s), np.empty_like(s)
     for image in (s, exchange(s), mirror, exchange(mirror)):
         for t in range(0, n_spins, 2):
-            np.minimum(rep, ((image << t) | (image >> (n_spins - t))) & ones, out=rep)
-    states, orbit, sizes = np.unique(rep, return_inverse=True, return_counts=True)
+            np.left_shift(image, t, out=rot)
+            np.bitwise_and(rot, ones, out=rot)
+            np.right_shift(image, n_spins - t, out=low)
+            np.bitwise_or(rot, low, out=rot)
+            np.minimum(rep, rot, out=rep)
+    # the parent labels are sorted, and each orbit's smallest label is one
+    states = s[rep == s]
+    orbit = np.searchsorted(states, rep)
+    sizes = np.bincount(orbit, minlength=len(states))
     return SpinBasis(n_spins, states, sector, frame, parent, orbit, sizes)
 
 
@@ -188,7 +207,7 @@ class QuantumState:
             return self.unfold().expand_full()
         if self.basis.is_full():
             return self
-        full = build_basis(self.basis.n_spins, Full(), frame=self.basis.frame)
+        full = SpinBasis(self.basis.n_spins, None, Full(), self.basis.frame)
         amps = np.zeros(full.dim, dtype=self.amplitudes.dtype)
         amps[self.basis.states] = self.amplitudes
         return QuantumState(amps, full)

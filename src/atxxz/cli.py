@@ -11,7 +11,8 @@ from . import __version__
 from .basis import CapacityError, Full, K0, build_basis
 from .models import (ASHKIN_TELLER, FRAMES, ModelParams, build_hamiltonian,
                      ground_sector, k0_domain)
-from .eigensolve import ConvergenceError, ground_state, solver_path
+from .eigensolve import (ConvergenceError, check_solver_args, ground_state,
+                         solver_path)
 from .sweeps import SweepSpec, figure_presets, run_sweep
 from . import verify as verify_mod
 
@@ -146,6 +147,7 @@ def _cmd_figure(args):
 
 
 def _cmd_spectrum(args):
+    check_solver_args(args.tol, args.seed)
     p = ModelParams(args.model, args.m_sites, delta=args.delta, beta=args.beta)
     sector = ground_sector(p) if args.sector == "ground" else Full()
     # refuse a solve beyond capacity from the sector dimension, before H exists

@@ -71,22 +71,41 @@ def dense_spectrum(h, k=None):
     return _result(h, w, v, k, np.zeros(k))
 
 
-def lanczos_ground(h, k=1, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
+def check_solver_args(tol, seed):
+    """Refuse a ``tol`` or ``seed`` that no solve can use; callers that build
+    a Hamiltonian first call this before they build it."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _check_inputs(dim, tol, seed, v0):
+    check_solver_args(tol, seed)
+    if v0 is not None:
+        v0 = np.asarray(v0)
+        if v0.shape != (dim,) or not np.all(np.isfinite(v0)) or not np.any(v0):
+            raise ValueError(f"start vector must be a finite, nonzero vector "
+                             f"of length {dim}")
+
+
+def lanczos_ground(h, k=1, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0,
+                   v0=None):
     """Lowest-k eigenpairs by implicitly restarted Lanczos (ARPACK ``eigsh``).
 
-    The matrix is reached only through ``h.matvec``. The start vector comes
-    from ``seed``, so a run is deterministic; ``max_iter`` caps ARPACK's
-    restarts. Every returned pair must satisfy ``|Hv - theta v| <= tol``
-    (ARPACK's own tolerance is relative to |theta|). Failing that, or on an
-    ARPACK error, the solve is retried once from a reseeded vector before
+    The matrix is reached only through ``h.matvec``. The first attempt
+    starts from ``v0`` if given, else from a vector drawn from ``seed``, so
+    a run is deterministic; ``max_iter`` caps ARPACK's restarts. Every
+    returned pair must satisfy ``|Hv - theta v| <= tol`` (ARPACK's own
+    tolerance is relative to |theta|). Failing that, or on an ARPACK error,
+    the solve is retried once from a vector drawn from ``seed + 1`` before
     ConvergenceError is raised. Exactly degenerate levels may be reported
     once (a single Krylov start vector cannot split them); use the dense
     path when the multiplicity itself matters.
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_inputs(h.dim, tol, seed, v0)
     if h.dim < k:
         raise ValueError(f"dimension {h.dim} smaller than requested k={k}")
     if h.dim == k:  # ARPACK needs k < dim
@@ -97,15 +116,16 @@ def lanczos_ground(h, k=1, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0):
     # ARPACK stops at residual <= rel_tol * |theta|: 0.01 * tol meets the
     # absolute tol up to |theta| = 100 (E0 is about -50 at 28 spins), and
     # the retry runs to machine precision
-    for s, rel_tol in ((seed, 0.01 * tol), (seed + 1, 0.0)):
+    for s, rel_tol, start in ((seed, 0.01 * tol, v0), (seed + 1, 0.0, None)):
         rng = np.random.default_rng(s)
-        v0 = rng.uniform(-1.0, 1.0, h.dim)
+        if start is None:
+            start = rng.uniform(-1.0, 1.0, h.dim)
         try:
-            theta, vectors = eigsh(op, k=k, which="SA", v0=v0, tol=rel_tol,
+            theta, vectors = eigsh(op, k=k, which="SA", v0=start, tol=rel_tol,
                                    maxiter=max_iter, rng=rng)
         except ArpackError:  # includes ArpackNoConvergence
             # no k pairs to check: report the start vector's Rayleigh residual
-            v = v0 / np.linalg.norm(v0)
+            v = start / np.linalg.norm(start)
             hv = h.matvec(v)
             best = min(best, float(np.linalg.norm(hv - (v @ hv) * v)))
             continue
@@ -133,14 +153,15 @@ def solver_path(dim, k):
     return "dense"
 
 
-def ground_state(h, k=2, tol=DEFAULT_TOL, seed=0):
+def ground_state(h, k=2, tol=DEFAULT_TOL, seed=0, v0=None):
     """The lowest ``k`` levels of ``h``; the one solver entry.
 
-    The path is ``solver_path(h.dim, k)``. ``k < 1`` and a ``tol`` that is
-    not positive are refused on both paths.
+    The path is ``solver_path(h.dim, k)``; only the ARPACK path reads
+    ``seed`` and the start vector ``v0`` (see ``lanczos_ground``). ``k < 1``,
+    a ``tol`` that is not positive, a negative ``seed`` and a malformed
+    ``v0`` are refused on both paths.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_inputs(h.dim, tol, seed, v0)
     if solver_path(h.dim, k) == "dense":
         return dense_spectrum(h, k=k)
-    return lanczos_ground(h, k=k, tol=tol, seed=seed)
+    return lanczos_ground(h, k=k, tol=tol, seed=seed, v0=v0)

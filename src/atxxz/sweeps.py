@@ -12,7 +12,8 @@ import numpy as np
 from .basis import K0, CapacityError
 from .models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
                      build_hamiltonian, ground_sector, k0_domain)
-from .eigensolve import ConvergenceError, ground_state
+from .eigensolve import (ConvergenceError, check_solver_args, ground_state,
+                         solver_path)
 from .entanglement import (MAX_KEPT_SITES, InvalidStateError, dsb, negativity,
                            reduce_state, von_neumann)
 from .observables import (Series, SymmetryViolationError, correlator_x,
@@ -65,8 +66,7 @@ class SweepSpec:
             raise ValueError("step must be positive")
         if self.start >= self.stop + 1e-12:
             raise ValueError("start must be below stop")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        check_solver_args(self.tol, self.seed)
         if not self.quantities:
             raise ValueError("a sweep needs at least one quantity")
         if len(set(self.quantities)) != len(self.quantities):
@@ -139,11 +139,12 @@ def _warn(spec, p, reason):
                  spec.sweep, getattr(p, spec.sweep), reason)
 
 
-def _evaluate_point(spec, h, base_quantities, sites):
-    """Values and converged flags of each base quantity at one point."""
+def _evaluate_point(spec, h, base_quantities, sites, v0):
+    """Values and converged flags of each base quantity at one point, and
+    the solve (None where the point failed); ``v0`` starts the solver."""
     p = h.params
     try:
-        res = ground_state(h, k=2, tol=spec.tol, seed=spec.seed)
+        res = ground_state(h, k=2, tol=spec.tol, seed=spec.seed, v0=v0)
         psi = res.ground_state.expand_full()
         out = {}
         rho = None
@@ -164,19 +165,23 @@ def _evaluate_point(spec, h, base_quantities, sites):
     except (ConvergenceError, SymmetryViolationError, InvalidStateError) as exc:
         _warn(spec, p, f"{type(exc).__name__}: {exc}")
         return p, {q: float("nan") for q in base_quantities}, dict.fromkeys(
-            base_quantities, False)
+            base_quantities, False), None
     if res.degenerate:
         # the solver returns an arbitrary vector of the degenerate level
         _warn(spec, p, f"degenerate ground state (gap {res.gap:.1e}); "
                        "state-dependent rows flagged unconverged")
-    return p, out, {q: q == "energy" or not res.degenerate for q in base_quantities}
+    return p, out, {q: q == "energy" or not res.degenerate
+                    for q in base_quantities}, res
 
 
 def run_sweep(spec):
     """Solve every grid point and emit rows (and the CSV, if requested).
 
     Where both grid ends lie in ``k0_domain``, so does every point, and the
-    sweep solves in the K0 refinement of the ground sector.
+    sweep solves in the K0 refinement of the ground sector. There the
+    ground state is unique and nodeless, so it overlaps the previous
+    point's: each ARPACK solve after a converged, nondegenerate point starts
+    from that point's psi0 + psi1. Other points start from ``spec.seed``.
     """
     n_spins = 2 * spec.m_sites
     label, sites = resolve_block(spec.block, spec.model, n_spins)
@@ -195,12 +200,17 @@ def run_sweep(spec):
             and np.array_equal(a.indices, h.matrix.indices)):
         raise RuntimeError(f"{spec.model} sparsity pattern depends on {spec.sweep}")
     a, b = a.data, h.matrix.data - a.data
-    points = []
+    warm = isinstance(sector, K0) and solver_path(h.dim, 2) == "arpack"
+    points, v0 = [], None
     for x in grid:
         np.multiply(b, x, out=h.matrix.data)
         h.matrix.data += a
         h.params = replace(p, **{spec.sweep: x})
-        points.append(_evaluate_point(spec, h, base, sites))
+        *point, res = _evaluate_point(spec, h, base, sites, v0)
+        points.append(point)
+        v0 = None
+        if warm and res is not None and not res.degenerate:
+            v0 = res.states[0].amplitudes + res.states[1].amplitudes
 
     result = SweepResult(spec)
     values = {q: np.array([pt[1][q] for pt in points]) for q in base}

@@ -92,7 +92,8 @@ def symmetry_orbit(label, n, exchange):
 
 
 class TestK0Basis:
-    @pytest.mark.parametrize("m_sites", [1, 2, 3, 4])
+    # 10 and 12 spins: the bit reversal pads the labels to whole bytes
+    @pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("parent,frame", [("xparity", "x"), ("szfixed", "z")])
     def test_orbits_match_closure(self, m_sites, parent, frame):
         n = 2 * m_sites
@@ -125,7 +126,11 @@ class TestK0Basis:
         psi = QuantumState(amps / np.linalg.norm(amps), b)
         wide = psi.unfold()
         assert wide.basis is b.parent and wide.norm == pytest.approx(1.0, abs=1e-12)
-        full = psi.expand_full().amplitudes
+        expanded = psi.expand_full()
+        # a Full basis whose labels stay implicit
+        assert expanded.basis.is_full() and expanded.basis.states is None
+        assert expanded.basis.dim == len(expanded.amplitudes) == 256
+        full = expanded.amplitudes
         for row, rep in enumerate(b.states):
             orbit = sorted(symmetry_orbit(int(rep), 8, True))
             assert np.allclose(full[orbit], amps[row] / np.linalg.norm(amps)

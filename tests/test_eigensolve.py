@@ -133,6 +133,38 @@ class TestLanczos:
             lanczos_ground(h, tol=0.0)
         with pytest.raises(ValueError):
             lanczos_ground(_DenseWrapper(np.eye(1)), k=2)
+        with pytest.raises(ValueError, match="seed"):
+            lanczos_ground(h, seed=-1)
+
+    @pytest.mark.parametrize("v0", [
+        np.ones(99), np.ones((100, 1)), np.full(100, np.nan),
+        np.r_[np.inf, np.ones(99)], np.zeros(100)])
+    def test_start_vector_refused_before_arpack(self, v0, monkeypatch):
+        calls = []
+        monkeypatch.setattr(eigensolve, "eigsh", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="start vector"):
+            lanczos_ground(_DenseWrapper(random_sym(100, 0)), k=2, v0=v0)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_start_from_neighbouring_states(self, seed):
+        # psi0 + psi1 of a nearby matrix: the same pairs, in fewer matvecs
+        class Counted(_DenseWrapper):
+            matvecs = 0
+
+            def matvec(self, v):
+                self.matvecs += 1
+                return super().matvec(v)
+        near = lanczos_ground(_DenseWrapper(random_sym(300, seed)), k=2)
+        mat = random_sym(300, seed) + 0.01 * random_sym(300, seed + 100)
+        cold, warm = Counted(mat), Counted(mat)
+        res_c = lanczos_ground(cold, k=2, seed=seed)
+        res_w = lanczos_ground(warm, k=2, seed=seed, v0=near.states[0].amplitudes
+                               + near.states[1].amplitudes)
+        w = np.linalg.eigvalsh(mat)[:2]
+        assert np.abs(res_w.energies - w).max() <= 1e-9
+        assert np.abs(res_c.energies - w).max() <= 1e-9
+        assert warm.matvecs < cold.matvecs
 
 
 class TestGroundState:
@@ -163,7 +195,8 @@ class TestGroundState:
 
     @pytest.mark.parametrize("dim", [40, 200])  # dense and ARPACK paths
     @pytest.mark.parametrize("kw", [{"k": 0}, {"k": -1}, {"tol": -1.0},
-                                    {"tol": 0.0}, {"tol": np.nan}])
+                                    {"tol": 0.0}, {"tol": np.nan},
+                                    {"seed": -1}, {"v0": np.ones(3)}])
     def test_argument_validation(self, dim, kw):
         with pytest.raises(ValueError):
             ground_state(_DenseWrapper(random_sym(dim, 0)), **kw)

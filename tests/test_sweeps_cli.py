@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -74,7 +75,7 @@ class TestSweepSpec:
         {"beta": np.nan}, {"block": ()},
         {"block": (0,), "quantities": ("negativity",)},
         {"block": (1,), "quantities": ("energy", "d1:dsb")}, {"quantities": ()},
-        {"quantities": ("entropy", "entropy")}])
+        {"quantities": ("entropy", "entropy")}, {"seed": -1}])
     def test_refused_before_any_build(self, kw, monkeypatch):
         builds = []
         monkeypatch.setattr(sweeps_mod, "build_hamiltonian",
@@ -308,6 +309,115 @@ class TestRunSweep:
             run_sweep(small_spec())
 
 
+def spy_solves(monkeypatch, fail=None):
+    """Record ``(v0, result)`` of each solve ``run_sweep`` makes; ``fail``
+    may replace the result of a solve, given its index."""
+    calls = []
+    real = sweeps_mod.ground_state
+
+    def solve(h, *a, v0=None, **k):
+        res = real(h, *a, v0=v0, **k)
+        calls.append((v0, res))
+        return res if fail is None else fail(len(calls) - 1, res)
+    monkeypatch.setattr(sweeps_mod, "ground_state", solve)
+    return calls
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("m_sites", [5, 6, 7])
+    @pytest.mark.parametrize("sweep", ["delta", "beta"])
+    @pytest.mark.parametrize("model", [ASHKIN_TELLER, STAGGERED_XXZ])
+    def test_k0_rows_match_cold_solves(self, monkeypatch, model, sweep,
+                                       m_sites):
+        calls = spy_solves(monkeypatch)
+        spec = small_spec(model=model, m_sites=m_sites, sweep=sweep,
+                          start=0.5, stop=1.5, step=0.1, delta=0.8, beta=1.1,
+                          block=(0, 1), quantities=("energy", "entropy"))
+        rows = run_sweep(spec).rows
+        grid = spec.grid()
+        # only M = 7 has a K0 dimension (181, 155) on the ARPACK path
+        assert [v0 is not None for v0, _ in calls] == (
+            [False] + [m_sites == 7] * (len(grid) - 1))
+        for i, x in enumerate(grid):
+            v0, res = calls[i]
+            if v0 is not None:
+                prev = calls[i - 1][1].states
+                assert np.array_equal(v0, prev[0].amplitudes + prev[1].amplitudes)
+            p = ModelParams(model, m_sites, **{"delta": 0.8, "beta": 1.1, sweep: x})
+            h = models_mod.build_hamiltonian(p, K0(ground_sector(p)))
+            cold = ground_state(h, k=2, seed=0)
+            assert np.abs(res.energies - cold.energies).max() <= 1e-9  # E0, E1
+            want = (cold.ground_energy,
+                    von_neumann(reduce_state(cold.ground_state, (0, 1))))
+            for r, w in zip(rows[i::len(grid)], want):
+                assert r.converged and abs(r.value - w) <= 1e-9
+
+    @pytest.mark.parametrize("model,sweep,start,fixed", [
+        (ASHKIN_TELLER, "delta", -0.3, {}),
+        (ASHKIN_TELLER, "beta", 0.5, {"delta": -0.2}),
+        (STAGGERED_XXZ, "beta", -0.3, {})])
+    def test_fallback_sweeps_start_cold(self, monkeypatch, model, sweep,
+                                        start, fixed):
+        # ground-sector dims 256 (AT) and 252 (XXZ) take the ARPACK path;
+        # each solve repeats the seeded cold solve of the same matrix bit
+        # for bit, so the rows are those of a sweep without warm starts
+        solves = []
+        real = sweeps_mod.ground_state
+
+        def solve(h, *a, v0=None, **k):
+            res = real(h, *a, v0=v0, **k)
+            solves.append((v0, res, real(h, *a, **k)))
+            return res
+        monkeypatch.setattr(sweeps_mod, "ground_state", solve)
+        run_sweep(small_spec(model=model, m_sites=5, sweep=sweep, start=start,
+                             stop=start + 0.4, step=0.1, block=(0, 1), **fixed))
+        assert len(solves) == 5
+        for v0, res, cold in solves:
+            assert v0 is None
+            assert np.array_equal(res.energies, cold.energies)
+            for a, b in zip(res.states, cold.states):
+                assert np.array_equal(a.amplitudes, b.amplitudes)
+
+    @pytest.mark.parametrize("failure", ["convergence", "degenerate"])
+    def test_cold_start_after_failed_point(self, monkeypatch, failure):
+        def fail_second(i, res):
+            if i != 1:
+                return res
+            if failure == "convergence":
+                raise ConvergenceError("forced", best_residual=1.0)
+            return dataclasses.replace(res, degenerate=True)
+        calls = spy_solves(monkeypatch, fail_second)
+        rows = run_sweep(small_spec(m_sites=7, start=0.8, stop=1.2, step=0.1,
+                                    quantities=("energy", "entropy"))).rows
+        assert [v0 is not None for v0, _ in calls] == [False, True, False,
+                                                      True, True]
+        assert [r.converged for r in rows if r.quantity == "entropy"] == [
+            True, False, True, True, True]
+
+    def test_fig6_sweep_takes_fewer_matvecs(self, monkeypatch):
+        matvecs = []
+        real_build = sweeps_mod.build_hamiltonian
+
+        def counted_build(*args):
+            h = real_build(*args)
+            matvec = h.matvec
+            h.matvec = lambda v: matvecs.append(1) or matvec(v)
+            return h
+        monkeypatch.setattr(sweeps_mod, "build_hamiltonian", counted_build)
+        spec = dataclasses.replace(figure_presets("fig6")[-1], out=None)
+        assert spec.m_sites == 8
+        warm_rows = run_sweep(spec).rows
+        warm = len(matvecs)
+        real = sweeps_mod.ground_state
+        monkeypatch.setattr(sweeps_mod, "ground_state",
+                            lambda h, *a, v0=None, **k: real(h, *a, **k))
+        matvecs.clear()
+        cold_rows = run_sweep(spec).rows
+        assert warm < len(matvecs)
+        for a, b in zip(warm_rows, cold_rows):
+            assert a.converged == b.converged and abs(a.value - b.value) <= 1e-9
+
+
 class TestCsv:
     def test_roundtrip(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -392,6 +502,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "E0" in out and "E2" in out
         assert len(bases) == 1
+
+    @pytest.mark.parametrize("command", ["spectrum", "sweep"])
+    def test_negative_seed_refused_before_any_build(self, command, capsys,
+                                                    monkeypatch):
+        bases = []
+        for module in (cli, models_mod):
+            monkeypatch.setattr(module, "build_basis",
+                                lambda *a, **k: bases.append(a))
+        code = cli.main([command, "--m-sites", "8", "--seed", "-1"])
+        assert code == cli.EXIT_ARGUMENT
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert bases == []
 
     def test_spectrum_refuses_levels_beyond_dense_limit(self, capsys,
                                                         monkeypatch):
