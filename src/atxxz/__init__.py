@@ -7,7 +7,7 @@ from .basis import (Full, K0, SzFixed, XParity, SpinBasis, QuantumState,
                     PauliString, pauli, build_basis, apply_pauli_string,
                     expectation)
 from .models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
-                     SparseHamiltonian, LinkVariable, build_hamiltonian,
+                     SparseHamiltonian, build_hamiltonian,
                      ground_sector, k0_domain, link_variable)
 from .eigensolve import (EigenResult, ConvergenceError, dense_spectrum,
                          lanczos_ground, ground_state)

@@ -23,10 +23,6 @@ class CapacityError(Exception):
     """Requested object exceeds the supported problem size."""
 
 
-class SectorViolationError(Exception):
-    """An operator mapped a state out of its restricted sector."""
-
-
 # --- sector descriptors ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -193,24 +189,22 @@ class QuantumState:
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
 
-    def unfold(self):
-        """The same state over the parent basis of a K0 sector (else itself):
-        psi(s) = c_r / sqrt(N_r), with r the orbit of s and N_r its size."""
-        b = self.basis
-        if b.parent is None:
-            return self
-        return QuantumState(self.amplitudes[b.orbit] / np.sqrt(b.sizes[b.orbit]), b.parent)
-
     def expand_full(self):
-        """Embed a sector-restricted state into the full 2^n space."""
-        if self.basis.parent is not None:
-            return self.unfold().expand_full()
-        if self.basis.is_full():
+        """The same state over all 2^n labels, zero outside its sector.
+
+        A K0 state gives each parent label s the amplitude c_r / sqrt(N_r),
+        with r the orbit of s and N_r its size, in one gather and one scatter.
+        """
+        b = self.basis
+        if b.is_full():
             return self
-        full = SpinBasis(self.basis.n_spins, None, Full(), self.basis.frame)
-        amps = np.zeros(full.dim, dtype=self.amplitudes.dtype)
-        amps[self.basis.states] = self.amplitudes
-        return QuantumState(amps, full)
+        amps, labels = self.amplitudes, b.states
+        if b.parent is not None:
+            amps, labels = (amps / np.sqrt(b.sizes))[b.orbit], b.parent.states
+        full = SpinBasis(b.n_spins, None, Full(), b.frame)
+        out = np.zeros(full.dim, dtype=amps.dtype)
+        out[labels] = amps
+        return QuantumState(out, full)
 
 
 # --- Pauli strings --------------------------------------------------------
@@ -259,12 +253,10 @@ def apply_pauli_string(string, psi):
     """Apply a Pauli string to a state (unnormalized result).
 
     The string is interpreted in the physical (z) frame; if the state lives
-    in the x frame it is conjugated accordingly before acting. A K0 state
-    is first unfolded onto its parent sector. For a sector-restricted state
-    the result must stay in the sector, otherwise a SectorViolationError is
-    raised.
+    in the x frame it is conjugated accordingly before acting. A sector
+    state is expanded to all 2^n labels first, and the result is a state
+    over those labels, since a string may map it out of its sector.
     """
-    psi = psi.unfold()
     n = psi.basis.n_spins
     for s, _ in string.terms:
         if s >= n:
@@ -272,9 +264,8 @@ def apply_pauli_string(string, psi):
     if psi.basis.frame == "x":
         string = string.x_frame()
 
-    restricted = not psi.basis.is_full()
-    work = psi.expand_full() if restricted else psi
-    amps = work.amplitudes
+    psi = psi.expand_full()
+    amps = psi.amplitudes
     dim = len(amps)
     idx = np.arange(dim, dtype=np.int64)
 
@@ -292,20 +283,12 @@ def apply_pauli_string(string, psi):
             factor *= (1j * sgn) if ax == "y" else sgn
     out = np.zeros(dim, dtype=factor.dtype)
     out[idx ^ flip] = coeff * factor * amps
-
-    if restricted:
-        kept = out[psi.basis.states]
-        total = np.linalg.norm(out) ** 2
-        lost = total - np.linalg.norm(kept) ** 2
-        if lost > 1e-12 * max(total, 1e-300):
-            raise SectorViolationError("Pauli string maps out of the restricted sector")
-        return QuantumState(kept, psi.basis)
     return QuantumState(out, psi.basis)
 
 
 def expectation(psi, string):
     """<psi| string |psi> for a normalized state; must be real."""
-    psi = psi.unfold()
+    psi = psi.expand_full()
     spsi = apply_pauli_string(string, psi)
     val = np.vdot(psi.amplitudes, spsi.amplitudes)
     if abs(np.imag(val)) > 1e-10:

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
+import scipy.linalg
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .basis import CapacityError, QuantumState
@@ -60,14 +61,20 @@ def _check_dense(dim):
 
 
 def dense_spectrum(h, k=None):
-    """Full symmetric eigendecomposition; oracle for small dimensions.
+    """Symmetric eigendecomposition; oracle for small dimensions.
 
-    Returns the lowest ``k`` levels (all by default); the gap and the
-    degeneracy flag come from the whole spectrum.
+    Returns every level by default (``numpy.linalg.eigh``). With ``k``,
+    LAPACK's subset routine solves only levels ``0..k`` and returns the
+    lowest ``k``; level ``k`` is solved so that ``k = 1`` still has its gap
+    and degeneracy flag, which read the two lowest levels.
     """
     _check_dense(h.dim)
-    w, v = np.linalg.eigh(h.dense())
-    k = len(w) if k is None else min(k, len(w))
+    if k is None:
+        w, v = np.linalg.eigh(h.dense())
+        k = len(w)
+    else:
+        w, v = scipy.linalg.eigh(h.dense(), subset_by_index=[0, min(k, h.dim - 1)])
+        k = min(k, len(w))
     return _result(h, w, v, k, np.zeros(k))
 
 

@@ -125,17 +125,9 @@ def build_hamiltonian(p, sector=Full()):
     return SparseHamiltonian(basis, mat, p)
 
 
-@dataclass(frozen=True)
-class LinkVariable:
-    """One of the bond/site operators through which both chains coincide."""
-
-    kind: str  # "eta" or "gamma"
-    index: int  # 1..2M
-    realization: PauliString
-
-
 def link_variable(kind, index, p):
-    """Physical-frame Pauli realization of eta_index or gamma_index."""
+    """Physical-frame Pauli string of eta_index or gamma_index, one of the
+    bond/site operators through which both chains coincide."""
     if kind not in ("eta", "gamma"):
         raise ValueError(f"unknown link-variable kind {kind!r}")
     if not 1 <= index <= 2 * p.m_sites:
@@ -163,4 +155,4 @@ def link_variable(kind, index, p):
             a, b = 2 * j - 1, (2 * j) % n
             ax = "y" if kind == "eta" else "x"
         terms = ((a, ax), (b, ax))
-    return LinkVariable(kind, index, PauliString(terms))
+    return PauliString(terms)

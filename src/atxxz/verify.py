@@ -79,7 +79,7 @@ def check_link_algebra(model, m_sites, variables=None):
     n = p.n_spins
     two_m = 2 * m_sites
     if variables is None:
-        variables = {(kind, i): link_variable(kind, i, p).realization
+        variables = {(kind, i): link_variable(kind, i, p)
                      for kind in ("eta", "gamma") for i in range(1, two_m + 1)}
     dense = {key: pauli_dense(s, n) for key, s in variables.items()}
     eye = np.eye(1 << n)
@@ -119,43 +119,34 @@ def check_constraints_on_ground_state(p, state=None):
         state = res.ground_state
     two_m = 2 * p.m_sites
 
+    sites = range(1, p.m_sites + 1)
     if p.model == ASHKIN_TELLER:
         products = {
-            "prod eta_even": [link_variable("eta", 2 * j, p).realization
-                              for j in range(1, p.m_sites + 1)],
-            "prod gamma_even": [link_variable("gamma", 2 * j, p).realization
-                                for j in range(1, p.m_sites + 1)],
-            "prod sigma^x": [pauli((2 * (j - 1), "x"))
-                             for j in range(1, p.m_sites + 1)],
-            "prod tau^x": [pauli((2 * (j - 1) + 1, "x"))
-                           for j in range(1, p.m_sites + 1)],
+            "prod eta_even": [link_variable("eta", 2 * j, p) for j in sites],
+            "prod gamma_even": [link_variable("gamma", 2 * j, p) for j in sites],
+            "prod sigma^x": [pauli((2 * (j - 1), "x")) for j in sites],
+            "prod tau^x": [pauli((2 * (j - 1) + 1, "x")) for j in sites],
         }
     else:
         products = {
-            "prod eta_odd gamma_even": [
-                link_variable("eta", 2 * j - 1, p).realization
-                for j in range(1, p.m_sites + 1)] + [
-                link_variable("gamma", 2 * j, p).realization
-                for j in range(1, p.m_sites + 1)],
-            "prod gamma_odd eta_even": [
-                link_variable("gamma", 2 * j - 1, p).realization
-                for j in range(1, p.m_sites + 1)] + [
-                link_variable("eta", 2 * j, p).realization
-                for j in range(1, p.m_sites + 1)],
+            "prod eta_odd gamma_even": (
+                [link_variable("eta", 2 * j - 1, p) for j in sites]
+                + [link_variable("gamma", 2 * j, p) for j in sites]),
+            "prod gamma_odd eta_even": (
+                [link_variable("gamma", 2 * j - 1, p) for j in sites]
+                + [link_variable("eta", 2 * j, p) for j in sites]),
             "Q_x": [pauli((b, "x")) for b in range(two_m)],
             "Q_y": [pauli((b, "y")) for b in range(two_m)],
         }
 
-    # individual factors may hop between sectors even though the full
-    # product does not, so the products are applied in the full space
-    reference = state.expand_full()
+    reference = state.expand_full().amplitudes
     dev = 0.0
     details = []
     for name, factors in products.items():
-        phi = reference
+        phi = state
         for f in factors:
             phi = apply_pauli_string(f, phi)
-        d = float(np.linalg.norm(phi.amplitudes - reference.amplitudes))
+        d = float(np.linalg.norm(phi.amplitudes - reference))
         details.append(f"{name}: {d:.2e}")
         dev = max(dev, d)
     return VerificationReport(
@@ -200,7 +191,7 @@ def check_density_equality(delta, beta, m_sites):
     psi_xxz = res_xxz.ground_state
     u = expectation(res_at.ground_state, pauli((0, "x")))
     v = expectation(res_at.ground_state, pauli((0, "x"), (1, "x")))
-    p_corr = expectation(psi_xxz.expand_full(), pauli((0, "x"), (1, "x")))
+    p_corr = expectation(psi_xxz, pauli((0, "x"), (1, "x")))
     q_corr = expectation(psi_xxz, pauli((0, "z"), (1, "z")))
     s_at = von_neumann(rho_at)
     s_xxz = von_neumann(rho_xxz)

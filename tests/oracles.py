@@ -34,15 +34,20 @@ def reduce_by_labels(psi, keep):
     """Partial trace of |psi><psi| by a loop over the sector's labels.
 
     Each label splits into a kept part (bit i from site keep[i]) and a
-    traced part; amplitudes that share the traced part add up in rho.
+    traced part; amplitudes that share the traced part add up in rho. A K0
+    state's amplitude c_r is spread as c_r / sqrt(N_r) over the N_r labels
+    of orbit r.
     """
-    psi = psi.unfold()
-    amps = psi.amplitudes / psi.norm
-    rest = [s for s in range(psi.basis.n_spins) if s not in keep]
+    b = psi.basis
+    amps, labels = psi.amplitudes / psi.norm, b.states
+    if b.parent is not None:
+        amps = amps[b.orbit] / np.sqrt(b.sizes[b.orbit])
+        labels = b.parent.states
+    rest = [s for s in range(b.n_spins) if s not in keep]
     pack = lambda label, sites: sum(((int(label) >> s) & 1) << i
                                     for i, s in enumerate(sites))
     by_rest = defaultdict(list)
-    for label, a in zip(psi.basis.states, amps):
+    for label, a in zip(labels, amps):
         by_rest[pack(label, rest)].append((pack(label, keep), a))
     rho = np.zeros((1 << len(keep),) * 2, dtype=complex)
     for entries in by_rest.values():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from atxxz.basis import (CapacityError, Full, K0, PauliString, QuantumState,
-                         SectorViolationError, SzFixed, XParity,
-                         apply_pauli_string, build_basis, expectation, pauli)
+                         SzFixed, XParity, apply_pauli_string, build_basis,
+                         expectation, pauli)
+from atxxz.eigensolve import ground_state
+from atxxz.models import STAGGERED_XXZ, ModelParams, build_hamiltonian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -120,24 +122,24 @@ class TestK0Basis:
         with pytest.raises(ValueError):
             build_basis(6, K0(sector), frame="x")
 
-    def test_unfold_spreads_orbits(self):
+    def test_expand_full_spreads_orbits(self):
         b = build_basis(8, K0(XParity(1, 1)), frame="x")
         amps = np.random.default_rng(0).normal(size=b.dim)
         psi = QuantumState(amps / np.linalg.norm(amps), b)
-        wide = psi.unfold()
-        assert wide.basis is b.parent and wide.norm == pytest.approx(1.0, abs=1e-12)
         expanded = psi.expand_full()
         # a Full basis whose labels stay implicit
         assert expanded.basis.is_full() and expanded.basis.states is None
         assert expanded.basis.dim == len(expanded.amplitudes) == 256
+        assert expanded.norm == pytest.approx(1.0, abs=1e-12)
         full = expanded.amplitudes
         for row, rep in enumerate(b.states):
             orbit = sorted(symmetry_orbit(int(rep), 8, True))
             assert np.allclose(full[orbit], amps[row] / np.linalg.norm(amps)
                                / np.sqrt(len(orbit)), atol=1e-14)
-        # Pauli strings act on the unfolded state
+        assert not full[np.setdiff1d(np.arange(256), b.parent.states)].any()
+        # Pauli strings act on the expanded state
         assert expectation(psi, pauli((0, "z"), (2, "z"))) == pytest.approx(
-            expectation(wide, pauli((0, "z"), (2, "z"))), abs=1e-14)
+            expectation(expanded, pauli((0, "z"), (2, "z"))), abs=1e-14)
 
 
 class TestPauliString:
@@ -195,15 +197,18 @@ class TestPauliString:
         out = apply_pauli_string(pauli((0, "x"), (2, "z")), psi)
         assert out.norm == pytest.approx(psi.norm, abs=1e-12)
 
-    def test_sector_violation(self):
+    def test_sector_state_maps_to_full_basis(self):
         b = build_basis(4, SzFixed(2))
         rng = np.random.default_rng(0)
         psi = QuantumState(rng.normal(size=b.dim), b)
-        with pytest.raises(SectorViolationError):
-            apply_pauli_string(pauli((0, "x")), psi)
-        # diagonal strings trivially preserve the magnetization sector
-        out = apply_pauli_string(pauli((0, "z"), (1, "z")), psi)
-        assert out.basis is b
+        # sigma^x leaves the magnetization sector: the result is a state
+        # over all 16 labels, with the norm a unitary string keeps
+        out = apply_pauli_string(pauli((0, "x")), psi)
+        assert out.basis.is_full() and len(out.amplitudes) == 16
+        assert out.norm == pytest.approx(psi.norm, abs=1e-12)
+        assert np.allclose(out.amplitudes,
+                           dense_op(pauli((0, "x")), 4)
+                           @ psi.expand_full().amplitudes, atol=1e-12)
 
     def test_x_frame_conjugation(self):
         # in the x frame, label 0 is the all-(sigma^x=+1) state
@@ -225,6 +230,18 @@ class TestExpectation:
         b = build_basis(2)
         psi = QuantumState(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2), b)
         assert expectation(psi, pauli((0, "z"), (1, "z"))) == pytest.approx(1.0)
+
+    def test_sector_states_agree(self):
+        # XX on an intra-dimer pair leaves SzFixed and K0, yet its
+        # expectation value is defined on every form of the ground state
+        p = ModelParams(STAGGERED_XXZ, 3, delta=1.0)
+        sz = ground_state(build_hamiltonian(p, SzFixed(3))).ground_state
+        k0 = ground_state(build_hamiltonian(p, K0(SzFixed(3)))).ground_state
+        xx = pauli((0, "x"), (1, "x"))
+        want = expectation(sz.expand_full(), xx)
+        assert want == pytest.approx(0.62283903060711, abs=1e-12)
+        assert expectation(sz, xx) == pytest.approx(want, abs=1e-14)
+        assert expectation(k0, xx) == pytest.approx(want, abs=1e-14)
 
     def test_non_hermitian_rejected(self):
         b = build_basis(1)

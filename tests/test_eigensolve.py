@@ -47,9 +47,18 @@ class TestDense:
         h = _DenseWrapper(random_sym(40, 0))
         full, low = dense_spectrum(h), dense_spectrum(h, k=3)
         assert len(low.energies) == len(low.states) == len(low.residuals) == 3
-        assert np.array_equal(low.energies, full.energies[:3])
-        assert (low.gap, low.degenerate) == (full.gap, full.degenerate)
+        # the subset comes from another LAPACK routine than the full solve
+        assert np.allclose(low.energies, full.energies[:3], rtol=0, atol=1e-12)
+        assert low.gap == pytest.approx(full.gap, abs=1e-12)
+        assert low.degenerate == full.degenerate
         assert len(dense_spectrum(h, k=99).states) == 40
+
+    def test_subset_sees_degenerate_ground_level(self):
+        # k = 1 still solves level 1, so the gap and the flag see the pair
+        h = _DenseWrapper(np.diag([-2.0, -2.0, 0.5, 1.0, 3.0]))
+        full, low = dense_spectrum(h), dense_spectrum(h, k=1)
+        assert len(low.energies) == 1 and low.degenerate and full.degenerate
+        assert low.gap == pytest.approx(full.gap, abs=1e-12)
 
     def test_capacity_refusal(self):
         p = ModelParams(STAGGERED_XXZ, 7, delta=1.0)

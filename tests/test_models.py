@@ -220,18 +220,18 @@ class TestLinkVariables:
 
     def test_at_realizations(self):
         p = ModelParams(ASHKIN_TELLER, 2)
-        assert link_variable("eta", 1, p).realization.terms == ((0, "x"),)
-        assert link_variable("gamma", 1, p).realization.terms == ((1, "x"),)
-        assert link_variable("eta", 2, p).realization.terms == ((0, "z"), (2, "z"))
-        assert link_variable("gamma", 4, p).realization.terms == ((3, "z"), (1, "z"))
+        assert link_variable("eta", 1, p).terms == ((0, "x"),)
+        assert link_variable("gamma", 1, p).terms == ((1, "x"),)
+        assert link_variable("eta", 2, p).terms == ((0, "z"), (2, "z"))
+        assert link_variable("gamma", 4, p).terms == ((3, "z"), (1, "z"))
 
     def test_xxz_realizations(self):
         p = ModelParams(STAGGERED_XXZ, 2)
-        assert link_variable("eta", 1, p).realization.terms == ((0, "x"), (1, "x"))
-        assert link_variable("gamma", 1, p).realization.terms == ((0, "y"), (1, "y"))
-        assert link_variable("eta", 2, p).realization.terms == ((1, "y"), (2, "y"))
-        assert link_variable("gamma", 4, p).realization.terms == ((3, "x"), (0, "x"))
+        assert link_variable("eta", 1, p).terms == ((0, "x"), (1, "x"))
+        assert link_variable("gamma", 1, p).terms == ((0, "y"), (1, "y"))
+        assert link_variable("eta", 2, p).terms == ((1, "y"), (2, "y"))
+        assert link_variable("gamma", 4, p).terms == ((3, "x"), (0, "x"))
 
     def test_self_wrapped_bond_is_identity(self):
         p = ModelParams(ASHKIN_TELLER, 1)
-        assert link_variable("eta", 2, p).realization.terms == ()
+        assert link_variable("eta", 2, p).terms == ()

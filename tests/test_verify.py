@@ -28,7 +28,7 @@ class TestLinkAlgebra:
     def test_negative_control(self):
         # replace one operator with something commuting with everything
         p = ModelParams(ASHKIN_TELLER, 2)
-        variables = {(kind, i): link_variable(kind, i, p).realization
+        variables = {(kind, i): link_variable(kind, i, p)
                      for kind in ("eta", "gamma") for i in range(1, 5)}
         variables[("eta", 2)] = pauli((0, "x"))  # wrong realization
         rep = verify.check_link_algebra(ASHKIN_TELLER, 2, variables=variables)
