@@ -13,6 +13,6 @@ from .eigensolve import (EigenResult, ConvergenceError, dense_spectrum,
                          lanczos_ground, ground_state)
 from .entanglement import (DensityMatrix, reduce_state, partial_transpose,
                            negativity, dsb, von_neumann)
-from .observables import (Series, finite_difference, locate_extremes,
+from .observables import (finite_difference, locate_extremes,
                           magnetization_x, correlator_x)
 from .sweeps import SweepSpec, SweepResult, run_sweep, figure_presets

@@ -89,6 +89,10 @@ class SpinBasis:
         """Rows of the given labels (in a K0 sector, of their orbits);
         raises KeyError on a label outside the sector."""
         labels = np.asarray(labels, dtype=np.int64)
+        if self.states is None:  # implicit Full basis: a label is its row
+            if np.any((labels < 0) | (labels >= self.dim)):
+                raise KeyError("label not in basis sector")
+            return labels
         states = self.states if self.parent is None else self.parent.states
         idx = np.searchsorted(states, labels)
         bad = (idx >= len(states)) | (states[np.minimum(idx, len(states) - 1)] != labels)

@@ -1,6 +1,4 @@
-"""Scalar observables of chain ground states and swept-series utilities."""
-
-from dataclasses import dataclass
+"""Scalar observables of chain ground states and swept-column utilities."""
 
 import numpy as np
 
@@ -66,68 +64,35 @@ def correlator_x(psi, p):
     return float(_uniform(vals[:, 2], "correlator"))
 
 
-@dataclass(eq=False)
-class Series:
-    """Sampled curve of one quantity along a parameter grid."""
-
-    parameter: str  # "delta" or "beta"
-    grid: np.ndarray
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if len(self.grid) != len(self.values):
-            raise ValueError("grid and values length mismatch")
-        if np.any(np.diff(self.grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-
-
-def _check_uniform(grid):
-    steps = np.diff(grid)
-    if steps.max() - steps.min() > 1e-9 * steps.mean():
-        raise ValueError("finite differences require a uniform grid")
-    return float(steps.mean())
-
-
-def finite_difference(series, order=1):
-    """Central differences in the interior, one-sided at the endpoints."""
+def finite_difference(values, step, order=1):
+    """Derivative of samples spaced ``step`` apart: numpy's central
+    differences inside and one-sided ones at the ends (order 1), or the
+    three-point stencil, whose end rows repeat their neighbours (order 2)."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    if len(series.grid) < 3:
+    if not 0 < step < np.inf:  # also refuses NaN
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+    if len(values) < 3:
         raise ValueError("need at least 3 samples")
-    h = _check_uniform(series.grid)
-    v = series.values
-    out = np.empty_like(v)
     if order == 1:
-        out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-        out[0] = (v[1] - v[0]) / h
-        out[-1] = (v[-1] - v[-2]) / h
-    else:
-        out[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / h**2
-        out[0] = (v[2] - 2 * v[1] + v[0]) / h**2
-        out[-1] = (v[-1] - 2 * v[-2] + v[-3]) / h**2
-    label = f"d{order}({series.label})" if series.label else f"d{order}"
-    return Series(series.parameter, series.grid.copy(), out, label)
+        return np.gradient(values, step)
+    return np.pad(np.diff(values, 2) / step**2, 1, mode="edge")
 
 
-def locate_extremes(series):
-    """Interior extremes from first-difference sign changes.
-
-    Plateaus resolve deterministically to the smaller parameter value.
-    Returns a list of (parameter_value, kind, value) with kind in
-    {"max", "min"}.
-    """
-    if len(series.grid) < 3:
+def locate_extremes(grid, values):
+    """Interior extremes, as (grid value, "max" or "min", value), from sign
+    changes of the first difference; a plateau resolves to its left end."""
+    v = np.asarray(values, dtype=float)
+    if len(grid) != len(v):
+        raise ValueError("grid and values length mismatch")
+    if len(v) < 3:
         raise ValueError("need at least 3 samples")
-    v = series.values
     found = []
     for i in range(1, len(v) - 1):
         left = v[i] - v[i - 1]
         right = v[i + 1] - v[i]
         if left > 0 and right <= 0:
-            found.append((float(series.grid[i]), "max", float(v[i])))
+            found.append((float(grid[i]), "max", float(v[i])))
         elif left < 0 and right >= 0:
-            found.append((float(series.grid[i]), "min", float(v[i])))
+            found.append((float(grid[i]), "min", float(v[i])))
     return found

@@ -16,7 +16,7 @@ from .eigensolve import (ConvergenceError, check_solver_args, ground_state,
                          solver_path)
 from .entanglement import (MAX_KEPT_SITES, InvalidStateError, dsb, negativity,
                            reduce_state, von_neumann)
-from .observables import (Series, SymmetryViolationError, correlator_x,
+from .observables import (SymmetryViolationError, correlator_x,
                           finite_difference, magnetization_x)
 
 _log = logging.getLogger("atxxz")
@@ -218,12 +218,11 @@ def run_sweep(spec):
     for q in spec.quantities:
         if ":" in q:
             order, name = int(q[1]), q.split(":", 1)[1]
-            series = Series(spec.sweep, grid, values[name])
-            col = finite_difference(series, order=order).values
+            col = finite_difference(values[name], spec.step, order)
             # a derivative row is converged when every point its stencil
             # reads is: push NaN marks of failed points through that stencil
-            marks = Series(spec.sweep, grid, np.where(conv[name], 0.0, np.nan))
-            col_conv = ~np.isnan(finite_difference(marks, order=order).values)
+            marks = np.where(conv[name], 0.0, np.nan)
+            col_conv = ~np.isnan(finite_difference(marks, spec.step, order))
         else:
             col, col_conv = values[q], conv[q]
         for (p, _, _), v, ok in zip(points, col, col_conv):

@@ -8,7 +8,6 @@ from atxxz.basis import popcount
 from atxxz.entanglement import (PSD_WINDOW, TRACE_TOL, DensityMatrix,
                                 InvalidStateError)
 from atxxz.models import ASHKIN_TELLER
-from atxxz.observables import Series
 
 
 def validate_density_matrix(rho):
@@ -24,10 +23,10 @@ def validate_density_matrix(rho):
 
 
 def series(result, quantity):
-    """One quantity of a SweepResult as a Series over the swept grid."""
+    """One quantity of a SweepResult as (grid, values) arrays."""
     rows = [r for r in result.rows if r.quantity == quantity]
-    grid = [getattr(r, result.spec.sweep) for r in rows]
-    return Series(result.spec.sweep, grid, [r.value for r in rows], quantity)
+    return (np.array([getattr(r, result.spec.sweep) for r in rows]),
+            np.array([r.value for r in rows]))
 
 
 def reduce_by_labels(psi, keep):

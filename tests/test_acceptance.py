@@ -23,7 +23,7 @@ from atxxz.basis import Full, QuantumState, XParity, pauli
 from atxxz.eigensolve import ground_state, lanczos_ground
 from atxxz.entanglement import reduce_state, von_neumann
 from atxxz.models import ASHKIN_TELLER, STAGGERED_XXZ
-from atxxz.observables import Series, locate_extremes
+from atxxz.observables import locate_extremes
 from atxxz.sweeps import SweepSpec, run_sweep
 from atxxz import verify
 from oracles import dimer_quartet_analytic, lambda_analytic
@@ -106,7 +106,7 @@ def test_criterion_03_entropy_maximum_at_one():
     for m in SMALL_SIZES:
         entropy = sweep_columns(ASHKIN_TELLER, m, "frontal-pair", ("entropy",),
                                 0.5, 1.5)["entropy"]
-        found = locate_extremes(Series("delta", grid, entropy))
+        found = locate_extremes(grid, entropy)
         maxima = [x for x in found if x[1] == "max"]
         ok = (len(found) == 1 and len(maxima) == 1
               and abs(maxima[0][0] - 1.0) <= STEP + 1e-12)
@@ -124,7 +124,7 @@ def test_criterion_04_concavity_flip():
                        (1.25, "max"), (1.75, "max")):
         entropy = sweep_columns(ASHKIN_TELLER, 6, "frontal-pair", ("entropy",),
                                 0.5, 1.5, fixed=beta)["entropy"]
-        found = [x for x in locate_extremes(Series("delta", grid, entropy))
+        found = [x for x in locate_extremes(grid, entropy)
                  if abs(x[0] - 1.0) <= STEP + 1e-12]
         ok = len(found) == 1 and found[0][1] == want
         verdicts.append((beta, found[0][1] if found else "none", ok))
@@ -240,8 +240,7 @@ def _quartet_entropy_beta(m_sites):
 
 def _dsdb_maxima(grid, entropy):
     d = np.gradient(entropy, grid)
-    return [x for x in locate_extremes(Series("beta", grid, d))
-            if x[1] == "max"]
+    return [x for x in locate_extremes(grid, d) if x[1] == "max"]
 
 
 @functools.lru_cache(maxsize=None)

@@ -58,6 +58,19 @@ class TestBuildBasis:
         with pytest.raises(KeyError):
             b.index_of([0])  # zero set bits, not in the sector
 
+    @pytest.mark.parametrize("label", [-1, 64])
+    def test_lookup_on_implicit_full_basis(self, label):
+        # expand_full leaves the labels of its Full basis implicit; rows and
+        # refusals match the explicit Full basis
+        sector = build_basis(6, SzFixed(5))
+        implicit = QuantumState(np.ones(sector.dim), sector).expand_full().basis
+        explicit = build_basis(6)
+        assert implicit.states is None
+        for b in (implicit, explicit):
+            assert np.array_equal(b.index_of([3, 0, 63]), [3, 0, 63])
+            with pytest.raises(KeyError):
+                b.index_of([5, label])
+
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             build_basis(29)

@@ -5,7 +5,7 @@ from atxxz import ModelParams, build_basis, build_hamiltonian, ground_sector
 from atxxz.basis import K0, QuantumState, expectation, pauli
 from atxxz.eigensolve import dense_spectrum
 from atxxz.models import ASHKIN_TELLER, STAGGERED_XXZ
-from atxxz.observables import (Series, SymmetryViolationError, correlator_x,
+from atxxz.observables import (SymmetryViolationError, correlator_x,
                                finite_difference, locate_extremes,
                                magnetization_x)
 
@@ -73,48 +73,38 @@ class TestMagnetization:
             magnetization_x(psi, p)
 
 
-class TestSeries:
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            Series("delta", [0.0, 1.0], [1.0])
-
-    def test_non_increasing_grid(self):
-        with pytest.raises(ValueError):
-            Series("delta", [0.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-
-
 class TestFiniteDifference:
     def grid(self):
         return np.linspace(0.0, 2.0, 81)
 
     def test_first_derivative_of_cubic(self):
         x = self.grid()
-        s = Series("delta", x, x**3, label="f")
-        d = finite_difference(s, order=1)
+        d = finite_difference(x**3, 0.025, order=1)
         # central differences are exact to O(h^2); endpoints one-sided O(h)
-        assert np.abs(d.values[1:-1] - 3 * x[1:-1] ** 2).max() < 1e-3
-        assert d.label == "d1(f)"
+        assert np.abs(d[1:-1] - 3 * x[1:-1] ** 2).max() < 1e-3
+        assert d[0] == pytest.approx((x[1] ** 3 - x[0] ** 3) / 0.025, abs=1e-12)
 
     def test_second_derivative_of_cubic(self):
         x = self.grid()
-        d = finite_difference(Series("beta", x, x**3), order=2)
-        assert np.abs(d.values[1:-1] - 6 * x[1:-1]).max() < 1e-9
+        d = finite_difference(x**3, 0.025, order=2)
+        assert np.abs(d[1:-1] - 6 * x[1:-1]).max() < 1e-9
+        # the end rows repeat their interior neighbours
+        assert d[0] == d[1] and d[-1] == d[-2]
 
     def test_argument_validation(self):
-        s = Series("delta", [0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
         with pytest.raises(ValueError):
-            finite_difference(s, order=3)
+            finite_difference([0.0, 1.0, 4.0], 1.0, order=3)
         with pytest.raises(ValueError):
-            finite_difference(Series("delta", [0.0, 1.0], [0.0, 1.0]))
-        irregular = Series("delta", [0.0, 1.0, 3.0], [0.0, 1.0, 9.0])
-        with pytest.raises(ValueError):
-            finite_difference(irregular)
+            finite_difference([0.0, 1.0], 1.0)
+        for step in (0.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="step"):
+                finite_difference([0.0, 1.0, 4.0], step)
 
 
 class TestLocateExtremes:
     def test_single_maximum(self):
         x = np.linspace(-1.0, 1.0, 21)
-        found = locate_extremes(Series("delta", x, -(x - 0.1) ** 2))
+        found = locate_extremes(x, -(x - 0.1) ** 2)
         assert len(found) == 1
         pos, kind, _ = found[0]
         assert kind == "max"
@@ -122,15 +112,21 @@ class TestLocateExtremes:
 
     def test_min_and_max(self):
         x = np.linspace(0.0, 2.0 * np.pi, 100)
-        found = locate_extremes(Series("beta", x, np.sin(x)))
+        found = locate_extremes(x, np.sin(x))
         kinds = [k for _, k, _ in found]
         assert kinds == ["max", "min"]
 
     def test_plateau_resolves_left(self):
         v = [0.0, 1.0, 1.0, 0.0]
-        found = locate_extremes(Series("delta", [0.0, 1.0, 2.0, 3.0], v))
+        found = locate_extremes([0.0, 1.0, 2.0, 3.0], v)
         assert found == [(1.0, "max", 1.0)]
 
     def test_monotone_has_none(self):
         x = np.linspace(0.0, 1.0, 11)
-        assert locate_extremes(Series("delta", x, x)) == []
+        assert locate_extremes(x, x) == []
+
+    def test_argument_validation(self):
+        with pytest.raises(ValueError, match="length"):
+            locate_extremes([0.0, 1.0, 2.0], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            locate_extremes([0.0, 1.0], [1.0, 2.0])

@@ -11,7 +11,7 @@ from atxxz.entanglement import (InvalidStateError, negativity, reduce_state,
                                 von_neumann)
 from atxxz.models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
                           ground_sector)
-from atxxz.observables import (Series, SymmetryViolationError, correlator_x,
+from atxxz.observables import (SymmetryViolationError, correlator_x,
                                finite_difference, magnetization_x)
 from atxxz.sweeps import (SweepSpec, figure_presets, read_csv, resolve_block,
                           run_sweep, write_csv)
@@ -121,22 +121,38 @@ class TestRunSweep:
     def test_rows_and_series(self):
         result = run_sweep(small_spec())
         assert len(result.rows) == 6  # 3 grid points x 2 quantities
-        s = series(result, "energy")
-        assert np.allclose(s.grid, [0.5, 0.6, 0.7])
-        assert np.all(np.diff(s.values) < 0)  # energy decreases with delta
+        grid, energy = series(result, "energy")
+        assert np.allclose(grid, [0.5, 0.6, 0.7])
+        assert np.all(np.diff(energy) < 0)  # energy decreases with delta
 
     def test_derivative_quantity(self):
         spec = small_spec(stop=0.9, quantities=("entropy", "d1:entropy"))
         result = run_sweep(spec)
-        s = series(result, "entropy")
-        d = series(result, "d1:entropy")
-        inner = (s.values[2:] - s.values[:-2]) / (2 * 0.1)
-        assert np.allclose(d.values[1:-1], inner, atol=1e-12)
+        _, s = series(result, "entropy")
+        _, d = series(result, "d1:entropy")
+        inner = (s[2:] - s[:-2]) / (2 * 0.1)
+        assert np.allclose(d[1:-1], inner, atol=1e-12)
+
+    @pytest.mark.parametrize("sweep", ["delta", "beta"])
+    def test_derivative_columns_are_numpy_stencils(self, sweep):
+        # d1: is numpy's gradient and d2: the three-point stencil, whose end
+        # rows repeat their neighbours, both of the sweep's own entropy column
+        spec = small_spec(sweep=sweep, start=0.6, stop=1.3, step=0.1,
+                          quantities=("entropy", "d1:entropy", "d2:entropy"))
+        result = run_sweep(spec)
+        grid, s = series(result, "entropy")
+        assert np.allclose(grid, spec.grid(), rtol=0, atol=1e-15)
+        want = {"d1:entropy": np.gradient(s, 0.1),
+                "d2:entropy": np.pad(np.diff(s, 2) / 0.1**2, 1, mode="edge")}
+        for q, w in want.items():
+            _, d = series(result, q)
+            assert np.abs(d - w).max() <= 1e-12
+        assert all(r.converged for r in result.rows)
 
     def test_m_and_g_quantities(self):
         result = run_sweep(small_spec(quantities=("m", "g")))
         for q in ("m", "g"):
-            vals = series(result, q).values
+            _, vals = series(result, q)
             assert np.all(np.abs(vals) <= 1.0)
 
     def test_unconverged_rows_are_nan(self, monkeypatch):
@@ -254,8 +270,7 @@ class TestRunSweep:
                 point.update(m=magnetization_x(psi, p), g=correlator_x(psi, p))
             for q in base:
                 want[q].append(point[q])
-        want["d1:entropy"] = finite_difference(
-            Series(sweep, grid, want["entropy"])).values
+        want["d1:entropy"] = finite_difference(want["entropy"], spec.step)
         for q in spec.quantities:
             got = [r for r in rows if r.quantity == q]
             assert all(r.converged for r in got)
