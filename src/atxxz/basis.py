@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 MAX_SPINS = 28  # one dense state vector stays under 8 GB
 
@@ -213,7 +214,9 @@ class QuantumState:
 
 # --- Pauli strings --------------------------------------------------------
 
-_AXES = ("x", "y", "z")
+_PAULI = {"x": sp.csr_array([[0.0, 1.0], [1.0, 0.0]]),
+          "y": sp.csr_array([[0.0, -1.0j], [1.0j, 0.0]]),
+          "z": sp.csr_array([[1.0, 0.0], [0.0, -1.0]])}
 
 
 @dataclass(frozen=True)
@@ -230,8 +233,23 @@ class PauliString:
         for s, ax in self.terms:
             if s < 0:
                 raise ValueError(f"negative site index {s}")
-            if ax not in _AXES:
+            if ax not in _PAULI:
                 raise ValueError(f"unknown axis {ax!r}")
+
+    def matrix(self, n_spins):
+        """The 2^n x 2^n CSR matrix of the string, coefficient included.
+
+        Site 0 is the lowest label bit, so it is the last factor of the
+        Kronecker product. Real for x/z strings with a real coefficient.
+        """
+        ops = dict(self.terms)
+        if any(s >= n_spins for s in ops):
+            raise ValueError(f"site {max(ops)} out of range for {n_spins} spins")
+        out = sp.csr_array([[self.coefficient]])
+        for s in reversed(range(n_spins)):
+            out = sp.kron(out, _PAULI[ops[s]] if s in ops else sp.eye_array(2),
+                          format="csr")
+        return out
 
     def x_frame(self):
         """Hadamard-conjugated string: x <-> z, y -> -y."""
@@ -261,33 +279,11 @@ def apply_pauli_string(string, psi):
     state is expanded to all 2^n labels first, and the result is a state
     over those labels, since a string may map it out of its sector.
     """
-    n = psi.basis.n_spins
-    for s, _ in string.terms:
-        if s >= n:
-            raise ValueError(f"site {s} out of range for {n} spins")
     if psi.basis.frame == "x":
         string = string.x_frame()
-
     psi = psi.expand_full()
-    amps = psi.amplitudes
-    dim = len(amps)
-    idx = np.arange(dim, dtype=np.int64)
-
-    flip = 0
-    has_y = any(ax == "y" for _, ax in string.terms)
-    coeff = string.coefficient
-    complex_out = has_y or np.iscomplexobj(amps) or (np.imag(coeff) != 0)
-    factor = np.ones(dim, dtype=np.complex128 if complex_out else np.float64)
-    for s, ax in string.terms:
-        if ax in ("x", "y"):
-            flip |= 1 << s
-        if ax in ("y", "z"):
-            b = (idx >> s) & 1
-            sgn = 1 - 2 * b
-            factor *= (1j * sgn) if ax == "y" else sgn
-    out = np.zeros(dim, dtype=factor.dtype)
-    out[idx ^ flip] = coeff * factor * amps
-    return QuantumState(out, psi.basis)
+    return QuantumState(string.matrix(psi.basis.n_spins) @ psi.amplitudes,
+                        psi.basis)
 
 
 def expectation(psi, string):

@@ -2,8 +2,8 @@
 
 Row/column index convention for reduced matrices: bit ``i`` of the index
 corresponds to ``sites[i]`` (first retained site is the least significant
-bit). Matrices carry the frame of the state they were traced from; all
-reported quantities are invariant under that per-spin rotation.
+bit). A matrix is written in the frame of the state it was traced from;
+every reported quantity is invariant under that per-spin rotation.
 """
 
 from dataclasses import dataclass
@@ -27,7 +27,6 @@ class DensityMatrix:
 
     sites: tuple
     matrix: np.ndarray
-    frame: str = "z"
 
 
 def reduce_state(psi, keep):
@@ -49,7 +48,7 @@ def reduce_state(psi, keep):
     tens = np.moveaxis(tens, [n - 1 - s for s in reversed(keep)], range(len(keep)))
     mat = tens.reshape(1 << len(keep), -1)
     rho = mat @ mat.conj().T
-    return DensityMatrix(tuple(keep), rho / np.trace(rho).real, psi.basis.frame)
+    return DensityMatrix(tuple(keep), rho / np.trace(rho).real)
 
 
 def partial_transpose(rho, subsystem_a):

@@ -29,7 +29,6 @@ class ModelParams:
 
     model: str  # "at" or "xxz"
     m_sites: int  # M; both chains carry 2M spins
-    j_coupling: float = 1.0
     delta: float = 0.0
     beta: float = 1.0
 
@@ -38,10 +37,8 @@ class ModelParams:
             raise ValueError(f"unknown model {self.model!r}")
         if self.m_sites < 1:
             raise ValueError("need at least one Ashkin-Teller site (two spins)")
-        if not np.all(np.isfinite([self.j_coupling, self.delta, self.beta])):
-            raise ValueError("j_coupling, delta and beta must be finite")
-        if self.j_coupling <= 0:
-            raise ValueError("j_coupling must be positive")
+        if not np.all(np.isfinite([self.delta, self.beta])):
+            raise ValueError("delta and beta must be finite")
 
     @property
     def n_spins(self):
@@ -114,8 +111,8 @@ def build_hamiltonian(p, sector=Full()):
     if basis is None:
         basis = build_basis(p.n_spins, sector, frame=FRAMES[p.model])
     entries = kernels.at_entries if p.model == ASHKIN_TELLER else kernels.xxz_entries
-    targets, cols, vals = entries(basis.states, p.m_sites, float(p.j_coupling),
-                                  float(p.beta), float(p.delta))
+    targets, cols, vals = entries(basis.states, p.m_sites, float(p.beta),
+                                  float(p.delta))
     rows = basis.index_of(targets)
     if basis.sizes is not None:
         vals = vals * np.sqrt(basis.sizes[cols] / basis.sizes[rows])

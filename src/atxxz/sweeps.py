@@ -47,7 +47,6 @@ class SweepSpec:
     step: float
     delta: float = 1.0  # fixed value when sweeping beta
     beta: float = 1.0  # fixed value when sweeping delta
-    j_coupling: float = 1.0
     quantities: Sequence[str] = ("entropy",)
     block: object = "frontal-pair"  # preset name or explicit site list
     out: Optional[str] = None
@@ -81,9 +80,9 @@ class SweepSpec:
         if any(":" in q for q in self.quantities) and len(self.grid()) < 3:
             raise ValueError("derivative quantities need at least 3 grid points")
         # the lowest delta must lie in the ground sector's domain
-        ground_sector(ModelParams(self.model, self.m_sites, self.j_coupling,
-                                  self.start if self.sweep == "delta" else self.delta,
-                                  self.beta))
+        ground_sector(ModelParams(
+            self.model, self.m_sites, beta=self.beta,
+            delta=self.start if self.sweep == "delta" else self.delta))
         _, sites = resolve_block(self.block, self.model, 2 * self.m_sites)
         if len(sites) < 2 and any(q.split(":", 1)[-1] in ("negativity", "dsb")
                                   for q in self.quantities):
@@ -189,7 +188,7 @@ def run_sweep(spec):
     base = sorted({q.split(":", 1)[-1] for q in spec.quantities})
 
     # H(x) = A + x B with one sparsity pattern: H(0), H(1) on its basis, then data
-    p = ModelParams(spec.model, spec.m_sites, spec.j_coupling, spec.delta, spec.beta)
+    p = ModelParams(spec.model, spec.m_sites, delta=spec.delta, beta=spec.beta)
     p0, p1 = (replace(p, **{spec.sweep: x}) for x in (0.0, 1.0))
     sector = ground_sector(p0)
     if all(k0_domain(replace(p, **{spec.sweep: x})) for x in (grid[0], grid[-1])):

@@ -18,12 +18,6 @@ from .entanglement import reduce_state, von_neumann
 SUITE_MAX_M = {"link-algebra": 4, "constraints": 6, "energy": 7,
                "density": 6, "spectral-inclusion": 3}
 
-_PAULI_2x2 = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
 
 @dataclass
 class VerificationReport:
@@ -53,15 +47,6 @@ class VerificationReport:
         return line
 
 
-def pauli_dense(string, n_spins):
-    """Dense matrix of a physical-frame Pauli string (site 0 = LSB)."""
-    ops = {s: _PAULI_2x2[ax] for s, ax in string.terms}
-    out = np.array([[1.0 + 0.0j]])
-    for s in range(n_spins - 1, -1, -1):
-        out = np.kron(out, ops.get(s, np.eye(2, dtype=complex)))
-    return string.coefficient * out
-
-
 def _check_size(suite, m_sites):
     if m_sites > SUITE_MAX_M[suite]:
         raise ValueError(f"{suite} check limited to m_sites <= {SUITE_MAX_M[suite]}")
@@ -81,7 +66,7 @@ def check_link_algebra(model, m_sites, variables=None):
     if variables is None:
         variables = {(kind, i): link_variable(kind, i, p)
                      for kind in ("eta", "gamma") for i in range(1, two_m + 1)}
-    dense = {key: pauli_dense(s, n) for key, s in variables.items()}
+    dense = {key: s.matrix(n).toarray() for key, s in variables.items()}
     eye = np.eye(1 << n)
 
     dev = 0.0

@@ -9,6 +9,19 @@ from atxxz.entanglement import (PSD_WINDOW, TRACE_TOL, DensityMatrix,
                                 InvalidStateError)
 from atxxz.models import ASHKIN_TELLER
 
+PAULI_2x2 = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
+             "y": np.array([[0, -1j], [1j, 0]]),
+             "z": np.array([[1, 0], [0, -1]], dtype=complex)}
+
+
+def dense_op(string, n):
+    """Dense matrix of a Pauli string by an np.kron chain (site 0 = LSB)."""
+    out = np.array([[1.0 + 0j]])
+    ops = {s: PAULI_2x2[ax] for s, ax in string.terms}
+    for s in range(n - 1, -1, -1):
+        out = np.kron(out, ops.get(s, np.eye(2)))
+    return string.coefficient * out
+
 
 def validate_density_matrix(rho):
     """Raise InvalidStateError unless rho is unit-trace, Hermitian and PSD."""
@@ -90,7 +103,7 @@ def frontal_pair_analytic(m, g):
     for entry in (u, v, w):
         if entry < -PSD_WINDOW or entry > 1.0 + PSD_WINDOW:
             raise ValueError(f"inconsistent inputs: diagonal entry {entry}")
-    return DensityMatrix((0, 1), np.diag([u, v, v, w]).astype(float), frame="x")
+    return DensityMatrix((0, 1), np.diag([u, v, v, w]).astype(float))
 
 
 def lambda_analytic(m, g, delta):

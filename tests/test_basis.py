@@ -6,19 +6,7 @@ from atxxz.basis import (CapacityError, Full, K0, PauliString, QuantumState,
                          expectation, pauli)
 from atxxz.eigensolve import ground_state
 from atxxz.models import STAGGERED_XXZ, ModelParams, build_hamiltonian
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]])
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = {"x": SX, "y": SY, "z": SZ}
-
-
-def dense_op(string, n):
-    out = np.array([[1.0 + 0j]])
-    ops = {s: PAULI[ax] for s, ax in string.terms}
-    for s in range(n - 1, -1, -1):
-        out = np.kron(out, ops.get(s, np.eye(2)))
-    return string.coefficient * out
+from oracles import dense_op
 
 
 def basis_state(label, n, frame="z"):

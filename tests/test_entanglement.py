@@ -64,7 +64,6 @@ class TestReduceState:
         # loop reads the sector labels and never builds the 2^n vector
         for psi in oracle_states():
             rho = reduce_state(psi, keep)
-            assert rho.frame == psi.basis.frame
             for oracle in (reduce_oracle, reduce_by_labels):
                 assert np.allclose(rho.matrix, oracle(psi, keep), atol=1e-12)
             validate_density_matrix(rho)
@@ -96,7 +95,7 @@ class TestPartialTranspose:
         rho = reduce_state(psi, [0, 1, 2])
         pt = partial_transpose(rho, (0,))
         assert np.trace(pt) == pytest.approx(1.0, abs=1e-12)
-        rho_pt = DensityMatrix(rho.sites, pt, rho.frame)
+        rho_pt = DensityMatrix(rho.sites, pt)
         assert np.allclose(partial_transpose(rho_pt, (0,)), rho.matrix,
                            atol=1e-13)
 
@@ -104,7 +103,7 @@ class TestPartialTranspose:
         rng = np.random.default_rng(3)
         psi = state(rng.normal(size=8) + 1j * rng.normal(size=8), 3)
         rho = reduce_state(psi, [0, 2])
-        once = DensityMatrix(rho.sites, partial_transpose(rho, (0,)), rho.frame)
+        once = DensityMatrix(rho.sites, partial_transpose(rho, (0,)))
         both = partial_transpose(once, (2,))
         assert np.allclose(both, rho.matrix.T, atol=1e-13)
 
@@ -160,7 +159,6 @@ class TestAnalyticForms:
     def test_frontal_pair_matrix(self):
         rho = frontal_pair_analytic(0.4, 0.2)
         assert np.allclose(np.diag(rho.matrix), [0.5, 0.2, 0.2, 0.1])
-        assert rho.frame == "x"
         validate_density_matrix(rho)
 
     def test_frontal_pair_validation(self):

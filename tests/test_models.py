@@ -5,11 +5,9 @@ import pytest
 
 from atxxz import (ModelParams, build_hamiltonian,
                    dense_spectrum, ground_sector, link_variable)
-from atxxz.basis import Full, K0, SzFixed, XParity
+from atxxz.basis import Full, K0, SzFixed, XParity, pauli
 from atxxz.models import ASHKIN_TELLER, STAGGERED_XXZ
-from atxxz.verify import pauli_dense
-from atxxz.basis import pauli
-from oracles import classify_sector
+from oracles import classify_sector, dense_op
 
 
 def xxz_dense_oracle(p):
@@ -17,11 +15,11 @@ def xxz_dense_oracle(p):
     n = p.n_spins
     h = np.zeros((1 << n, 1 << n), dtype=complex)
     for j in range(p.m_sites):
-        for (a, b, c) in (((2 * j), (2 * j + 1), p.j_coupling),
-                          ((2 * j + 1), (2 * j + 2) % n, p.j_coupling * p.beta)):
+        for (a, b, c) in (((2 * j), (2 * j + 1), 1.0),
+                          ((2 * j + 1), (2 * j + 2) % n, p.beta)):
             for ax in ("x", "y"):
-                h -= c * pauli_dense(pauli((a, ax), (b, ax)), n)
-            h += c * p.delta * pauli_dense(pauli((a, "z"), (b, "z")), n)
+                h -= c * dense_op(pauli((a, ax), (b, ax)), n)
+            h += c * p.delta * dense_op(pauli((a, "z"), (b, "z")), n)
     return h.real
 
 
@@ -31,18 +29,17 @@ def at_dense_oracle(p):
     h = np.zeros((1 << n, 1 << n), dtype=complex)
     for j in range(p.m_sites):
         s, t = 2 * j, 2 * j + 1
-        h -= p.j_coupling * (pauli_dense(pauli((s, "x")), n)
-                             + pauli_dense(pauli((t, "x")), n)
-                             + p.delta * pauli_dense(pauli((s, "x"), (t, "x")), n))
+        h -= (dense_op(pauli((s, "x")), n) + dense_op(pauli((t, "x")), n)
+              + p.delta * dense_op(pauli((s, "x"), (t, "x")), n))
         sp_, tp = (2 * ((j + 1) % p.m_sites)), (2 * ((j + 1) % p.m_sites) + 1)
         if sp_ == s:  # single site: the periodic bond squares to the identity
             eye = np.eye(1 << n)
-            h -= p.j_coupling * p.beta * (2.0 + p.delta) * eye
+            h -= p.beta * (2.0 + p.delta) * eye
             continue
-        zz_s = pauli_dense(pauli((s, "z"), (sp_, "z")), n)
-        zz_t = pauli_dense(pauli((t, "z"), (tp, "z")), n)
-        zz4 = pauli_dense(pauli((s, "z"), (sp_, "z"), (t, "z"), (tp, "z")), n)
-        h -= p.j_coupling * p.beta * (zz_s + zz_t + p.delta * zz4)
+        zz_s = dense_op(pauli((s, "z"), (sp_, "z")), n)
+        zz_t = dense_op(pauli((t, "z"), (tp, "z")), n)
+        zz4 = dense_op(pauli((s, "z"), (sp_, "z"), (t, "z"), (tp, "z")), n)
+        h -= p.beta * (zz_s + zz_t + p.delta * zz4)
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     rot = np.array([[1.0]])
     for _ in range(n):
@@ -56,10 +53,8 @@ class TestModelParams:
         assert p.n_spins == 6
 
     @pytest.mark.parametrize("kw", [
-        {"model": "ising"}, {"m_sites": 0}, {"j_coupling": 0.0},
-        {"j_coupling": -1.0}, {"j_coupling": np.nan}, {"j_coupling": np.inf},
-        {"delta": np.nan}, {"delta": -np.inf}, {"beta": np.nan},
-        {"beta": np.inf}])
+        {"model": "ising"}, {"m_sites": 0}, {"delta": np.nan},
+        {"delta": -np.inf}, {"beta": np.nan}, {"beta": np.inf}])
     def test_invalid(self, kw):
         base = {"model": ASHKIN_TELLER, "m_sites": 2}
         base.update(kw)
@@ -94,7 +89,7 @@ class TestBuildHamiltonian:
             assert build_hamiltonian(p, sector).matrix.has_canonical_format
 
     def test_dimer_ground_energy(self):
-        # single dimer, uniform couplings: E0 = -6J on the triplet-0 state
+        # single dimer, uniform couplings: E0 = -6 on the triplet-0 state
         p = ModelParams(STAGGERED_XXZ, 1, delta=1.0, beta=1.0)
         res = dense_spectrum(build_hamiltonian(p, ground_sector(p)))
         assert res.ground_energy == pytest.approx(-6.0, abs=1e-12)
@@ -126,7 +121,7 @@ class TestBuildHamiltonian:
     @pytest.mark.parametrize("m_sites", [1, 2, 3, 4])
     def test_build_on_earlier_basis(self, model, m_sites):
         # H assembled on h.basis equals H built from the sector, bit for bit
-        p = ModelParams(model, m_sites, j_coupling=1.3, delta=0.7, beta=1.2)
+        p = ModelParams(model, m_sites, delta=0.7, beta=1.2)
         q = replace(p, delta=-0.4, beta=-0.6)
         for sector in (Full(), ground_sector(p), K0(ground_sector(p))):
             a = build_hamiltonian(q, sector).matrix

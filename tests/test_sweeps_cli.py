@@ -219,14 +219,13 @@ class TestRunSweep:
         monkeypatch.setattr(models_mod, "build_basis", counted_basis)
         spec = small_spec(model=model, m_sites=m_sites, sweep=sweep,
                           start=-0.4, stop=0.4, step=0.2, delta=0.7, beta=1.2,
-                          j_coupling=1.3, block=(0, 1),
+                          block=(0, 1),
                           quantities=("energy", "entropy", "negativity"))
         rows = run_sweep(spec).rows
         assert len(builds) == 2  # H(0) and H(1), whatever the grid length
         assert len(bases) == 1  # both on one enumerated basis
         for i, x in enumerate(spec.grid()):
-            p = ModelParams(model, m_sites, j_coupling=1.3,
-                            **{"delta": 0.7, "beta": 1.2, sweep: x})
+            p = ModelParams(model, m_sites, **{"delta": 0.7, "beta": 1.2, sweep: x})
             res = ground_state(real(p, ground_sector(p)), k=2, seed=0)
             rho = reduce_state(res.ground_state, (0, 1))
             want = (res.ground_energy, von_neumann(rho), negativity(rho, (0,)))
@@ -251,15 +250,14 @@ class TestRunSweep:
             ("m", "g") if model == ASHKIN_TELLER else ())
         spec = small_spec(model=model, m_sites=m_sites, sweep=sweep,
                           start=0.6, stop=1.4, step=0.2, delta=0.8, beta=1.1,
-                          j_coupling=1.3, block=(0, 1, 2),
+                          block=(0, 1, 2),
                           quantities=base + ("d1:entropy",))
         rows = run_sweep(spec).rows
         assert sectors == [K0(ground_sector(ModelParams(model, m_sites)))] * 2
         grid = spec.grid()
         want = {q: [] for q in base}
         for x in grid:
-            p = ModelParams(model, m_sites, j_coupling=1.3,
-                            **{"delta": 0.8, "beta": 1.1, sweep: x})
+            p = ModelParams(model, m_sites, **{"delta": 0.8, "beta": 1.1, sweep: x})
             res = ground_state(real(p, ground_sector(p)), k=2, seed=0)
             assert not res.degenerate
             psi = res.ground_state

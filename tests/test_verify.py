@@ -1,20 +1,57 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from atxxz import ModelParams
-from atxxz.basis import pauli
+from atxxz.basis import (PauliString, QuantumState, XParity,
+                         apply_pauli_string, build_basis, pauli)
 from atxxz.models import ASHKIN_TELLER, STAGGERED_XXZ, link_variable
 from atxxz import verify
+from oracles import dense_op
 
 
 class TestPauliDense:
+    """PauliString.matrix against the np.kron oracle."""
+
     def test_single_site(self):
-        m = verify.pauli_dense(pauli((0, "z")), 2)
-        assert np.allclose(m, np.diag([1, -1, 1, -1]))
+        m = pauli((0, "z")).matrix(2)
+        assert sp.issparse(m) and m.format == "csr"
+        assert np.array_equal(m.toarray(), np.diag([1.0, -1.0, 1.0, -1.0]))
 
     def test_coefficient_and_y(self):
-        m = verify.pauli_dense(pauli((0, "y"), coefficient=2.0), 1)
-        assert np.allclose(m, 2.0 * np.array([[0, -1j], [1j, 0]]))
+        m = pauli((0, "y"), coefficient=2.0).matrix(1)
+        assert np.array_equal(m.toarray(), 2.0 * np.array([[0, -1j], [1j, 0]]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_oracle_random(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 4
+        sites = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+        axes = rng.choice(list("xyz"), size=len(sites))
+        axes[0] = "y"
+        string = PauliString(tuple(zip(map(int, sites), axes)),
+                             coefficient=complex(rng.normal(), rng.normal()))
+        m = string.matrix(n)
+        assert m.shape == (1 << n, 1 << n) and m.nnz == 1 << n
+        assert np.allclose(m.toarray(), dense_op(string, n), rtol=0, atol=1e-15)
+
+    def test_site_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            pauli((1, "x"), (3, "z")).matrix(3)
+        with pytest.raises(ValueError, match="out of range"):
+            apply_pauli_string(pauli((3, "x")), QuantumState(np.ones(8),
+                                                             build_basis(3)))
+
+    @pytest.mark.parametrize("frame", ["z", "x"])
+    def test_real_strings_keep_real_states_real(self, frame):
+        string = pauli((0, "x"), (2, "z"), (3, "x"))
+        assert string.matrix(4).dtype == np.float64
+        psi = QuantumState(np.arange(16.0), build_basis(4, frame=frame))
+        out = apply_pauli_string(string, psi)
+        assert out.amplitudes.dtype == np.float64
+        if frame == "z":
+            assert np.array_equal(out.amplitudes,
+                                  dense_op(string, 4).real @ psi.amplitudes)
 
 
 class TestLinkAlgebra:
@@ -50,8 +87,6 @@ class TestGroundStateConstraints:
     def test_negative_control_wrong_sector(self):
         # within the ground sector the constraints hold identically, so the
         # control state comes from an odd-parity sector where they flip sign
-        from atxxz import build_basis
-        from atxxz.basis import QuantumState, XParity
         p = ModelParams(ASHKIN_TELLER, 3, delta=0.8, beta=1.2)
         b = build_basis(p.n_spins, XParity(-1, 1), frame="x")
         rng = np.random.default_rng(0)
