@@ -53,7 +53,8 @@ class TestModelParams:
         assert p.n_spins == 6
 
     @pytest.mark.parametrize("kw", [
-        {"model": "ising"}, {"m_sites": 0}, {"delta": np.nan},
+        {"model": "ising"}, {"m_sites": 0}, {"m_sites": -1}, {"model": "AT"},
+        {"delta": np.inf}, {"beta": -np.inf}, {"delta": np.nan},
         {"delta": -np.inf}, {"beta": np.nan}, {"beta": np.inf}])
     def test_invalid(self, kw):
         base = {"model": ASHKIN_TELLER, "m_sites": 2}
