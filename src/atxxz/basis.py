@@ -13,11 +13,11 @@ import scipy.sparse as sp
 
 MAX_SPINS = 28  # one dense state vector stays under 8 GB
 
-_CHUNK = 1 << 22  # basis enumeration chunk size
+_CHUNK = 1 << 20  # parent rows per chunk of K0 image temporaries
 
 # bit-reversed value of each byte
 _REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)],
-                          dtype=np.int64)
+                          dtype=np.uint32)
 
 
 class CapacityError(Exception):
@@ -81,25 +81,47 @@ class SpinBasis:
     parent: Optional["SpinBasis"] = None
     orbit: Optional[np.ndarray] = None
     sizes: Optional[np.ndarray] = None
+    # SzFixed sectors only: Lin's tables (hi_off, lo_rank) of rank()
+    lin: Optional[tuple] = None
 
     @property
     def dim(self):
         return 1 << self.n_spins if self.states is None else len(self.states)
 
+    def rank(self, labels):
+        """Row that each label in [0, 2^n) would hold in this Full, XParity
+        or SzFixed basis; checked against ``states`` only by index_of.
+
+        XParity fixes the two lowest bits by the parities of the others, so
+        the row is s >> 2. SzFixed ranks by the high half of the bits, then
+        by the low half among those of the same popcount: H. Q. Lin, Phys.
+        Rev. B 42, 6561 (1990). The sum may pass the last row for a label
+        outside the sector.
+        """
+        if isinstance(self.sector, XParity):
+            return labels >> 2
+        if isinstance(self.sector, SzFixed):
+            hi_off, lo_rank = self.lin
+            half = self.n_spins // 2
+            return hi_off[labels >> half] + lo_rank[labels & ((1 << half) - 1)]
+        return labels
+
     def index_of(self, labels):
         """Rows of the given labels (in a K0 sector, of their orbits);
         raises KeyError on a label outside the sector."""
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(labels)
+        if labels.size and (labels.min() < 0 or labels.max() >= 1 << self.n_spins):
+            raise KeyError(f"label outside [0, 2^{self.n_spins})")
+        if labels.dtype.kind not in "biu" and not np.all(labels == np.trunc(labels)):
+            raise KeyError("non-integer label")
+        labels = labels.astype(np.int64, copy=False)
         if self.states is None:  # implicit Full basis: a label is its row
-            if np.any((labels < 0) | (labels >= self.dim)):
-                raise KeyError("label not in basis sector")
             return labels
-        states = self.states if self.parent is None else self.parent.states
-        idx = np.searchsorted(states, labels)
-        bad = (idx >= len(states)) | (states[np.minimum(idx, len(states) - 1)] != labels)
-        if np.any(bad):
+        b = self if self.parent is None else self.parent
+        rows = b.rank(labels)
+        if np.any(np.take(b.states, rows, mode="clip") != labels):
             raise KeyError("label not in basis sector")
-        return idx if self.parent is None else self.orbit[idx]
+        return rows if self.parent is None else self.orbit[rows]
 
     def is_full(self):
         return isinstance(self.sector, Full)
@@ -111,52 +133,97 @@ def build_basis(n_spins, sector=Full(), frame="z"):
         raise CapacityError(f"n_spins={n_spins} outside supported range [1, {MAX_SPINS}]")
     if frame not in ("z", "x"):
         raise ValueError(f"unknown frame {frame!r}")
-    total = 1 << n_spins
 
     if isinstance(sector, Full):
-        states = np.arange(total, dtype=np.int64)
+        states = np.arange(1 << n_spins, dtype=np.int64)
         return SpinBasis(n_spins, states, sector, frame)
-
     if isinstance(sector, K0):
         return _k0_basis(n_spins, sector, frame)
     if isinstance(sector, SzFixed):
         if not 0 <= sector.n_up <= n_spins:
             raise ValueError(f"n_up={sector.n_up} inconsistent with n_spins={n_spins}")
-        keep = lambda s: popcount(s) == sector.n_up
-    elif isinstance(sector, XParity):
-        if sector.p1 not in (-1, 1) or sector.p2 not in (-1, 1):
-            raise ValueError("parity eigenvalues must be +1 or -1")
-        if n_spins % 2:
-            raise ValueError("XParity sectors need an even number of spins")
-        sigma_mask = np.int64(sum(1 << i for i in range(0, n_spins, 2)))
-        tau_mask = np.int64(sum(1 << i for i in range(1, n_spins, 2)))
-        want1 = 0 if sector.p1 == 1 else 1
-        want2 = 0 if sector.p2 == 1 else 1
-        keep = lambda s: ((popcount(s & sigma_mask) & 1) == want1) & (
-            (popcount(s & tau_mask) & 1) == want2)
-    else:
+        return _sz_basis(n_spins, sector, frame)
+    if not isinstance(sector, XParity):
         raise ValueError(f"unknown sector descriptor {sector!r}")
-
-    chunks = []
-    for lo in range(0, total, _CHUNK):
-        cand = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        chunks.append(cand[keep(cand)])
-    states = np.concatenate(chunks)
+    if sector.p1 not in (-1, 1) or sector.p2 not in (-1, 1):
+        raise ValueError("parity eigenvalues must be +1 or -1")
+    if n_spins % 2:
+        raise ValueError("XParity sectors need an even number of spins")
+    # the label (r << 2) | b0 | b1 << 1, with sigma bit 0 and tau bit 1 set
+    # so that the sigma and tau parities come out as asked
+    r = np.arange(1 << (n_spins - 2), dtype=np.int64)
+    even = sum(1 << i for i in range(0, n_spins - 2, 2))
+    b0 = (np.bitwise_count(r & even) & 1) ^ (sector.p1 == -1)
+    b1 = (np.bitwise_count(r & (even << 1)) & 1) ^ (sector.p2 == -1)
+    states = (r << 2) | b0 | (b1 << 1)
     return SpinBasis(n_spins, states, sector, frame)
+
+
+def _sz_basis(n_spins, sector, frame):
+    """SzFixed labels in increasing order, with Lin's two rank tables.
+
+    A label is its high bits h above its low ``half`` bits l. The labels
+    with high part h are h followed by each low part of popcount
+    n_up - popcount(h), in increasing order; hi_off[h] counts the labels
+    before them, and lo_rank[l] is the place of l among the low parts of
+    its popcount.
+    """
+    half = n_spins // 2
+    lo = np.arange(1 << half, dtype=np.int64)
+    lo_pc = popcount(lo)
+    by_pc = np.argsort(lo_pc, kind="stable")  # low parts, grouped by popcount
+    size = np.bincount(lo_pc, minlength=half + 1)
+    start = np.cumsum(size) - size
+    lo_rank = np.empty_like(lo)
+    lo_rank[by_pc] = lo - start[lo_pc[by_pc]]
+    hi = np.arange(1 << (n_spins - half), dtype=np.int64)
+    need = sector.n_up - popcount(hi)
+    fits = (need >= 0) & (need <= half)
+    need = np.where(fits, need, 0)
+    count = np.where(fits, size[need], 0)
+    hi_off = np.cumsum(count) - count
+    rows = np.arange(count.sum()) + np.repeat(start[need] - hi_off, count)
+    states = np.repeat(hi << half, count) | by_pc[rows]
+    return SpinBasis(n_spins, states, sector, frame, lin=(hi_off, lo_rank))
 
 
 def _k0_basis(n_spins, sector, frame):
     """Orbit representatives of the parent sector under the 4M symmetries."""
     parent = build_basis(n_spins, sector.parent, frame)
-    ones = np.int64((1 << n_spins) - 1)
+    ones = np.uint32((1 << n_spins) - 1)
     if isinstance(sector.parent, XParity) and sector.parent.p1 == sector.parent.p2:
-        even = np.int64(sum(1 << i for i in range(0, n_spins, 2)))
+        even = np.uint32(sum(1 << i for i in range(0, n_spins, 2)))
         exchange = lambda s: ((s & even) << 1) | ((s >> 1) & even)
     elif isinstance(sector.parent, SzFixed) and 2 * sector.parent.n_up == n_spins:
         exchange = lambda s: s ^ ones
     else:
         raise ValueError(f"K0 refines XParity(p, p) or SzFixed(n/2), not {sector.parent!r}")
-    s = parent.states
+    # orbit is allocated ahead of the temporaries, and the images are formed
+    # over chunks of parent rows: freed temporaries then neither stay pinned
+    # below a kept array nor grow glibc's mmap threshold to parent size,
+    # which cost 6 MiB of peak RSS at 20 spins and 30 MiB at 24
+    orbit = np.empty(parent.dim, dtype=np.int64)
+    rep = np.empty(parent.dim, dtype=np.uint32)
+    for lo in range(0, parent.dim, _CHUNK):
+        rep[lo:lo + _CHUNK] = _smallest_image(parent.states[lo:lo + _CHUNK],
+                                              n_spins, exchange)
+    # the parent labels are sorted, and each orbit's smallest label is one:
+    # the orbit of a label is the number of representatives up to its own
+    is_rep = rep == parent.states
+    states = parent.states[is_rep]
+    np.take(np.cumsum(is_rep) - 1, parent.rank(rep), out=orbit)
+    sizes = np.bincount(orbit, minlength=len(states))
+    return SpinBasis(n_spins, states, sector, frame, parent, orbit, sizes)
+
+
+def _smallest_image(s, n_spins, exchange):
+    """Smallest label over every rotation by two bits of s, its mirror image
+    and their exchanged images.
+
+    Works in uint32, exact up to 32 spins (MAX_SPINS = 28).
+    """
+    s = s.astype(np.uint32)
+    ones = np.uint32((1 << n_spins) - 1)
     # reflection: reverse the bytes of the label, each through the table,
     # then drop the padding bits above n_spins
     n_bytes = -(-n_spins // 8)
@@ -164,7 +231,6 @@ def _k0_basis(n_spins, sector, frame):
     for j in range(n_bytes):
         mirror |= _REVERSED_BYTE[(s >> (8 * j)) & 255] << (8 * (n_bytes - 1 - j))
     mirror >>= 8 * n_bytes - n_spins
-    # rep = smallest label of the orbit, over every rotation of each image
     rep = s.copy()
     rot, low = np.empty_like(s), np.empty_like(s)
     for image in (s, exchange(s), mirror, exchange(mirror)):
@@ -174,11 +240,7 @@ def _k0_basis(n_spins, sector, frame):
             np.right_shift(image, n_spins - t, out=low)
             np.bitwise_or(rot, low, out=rot)
             np.minimum(rep, rot, out=rep)
-    # the parent labels are sorted, and each orbit's smallest label is one
-    states = s[rep == s]
-    orbit = np.searchsorted(states, rep)
-    sizes = np.bincount(orbit, minlength=len(states))
-    return SpinBasis(n_spins, states, sector, frame, parent, orbit, sizes)
+    return rep
 
 
 # --- states ---------------------------------------------------------------

@@ -4,7 +4,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from atxxz.basis import popcount
+from atxxz.basis import XParity, popcount
 from atxxz.entanglement import (PSD_WINDOW, TRACE_TOL, DensityMatrix,
                                 InvalidStateError)
 from atxxz.models import ASHKIN_TELLER
@@ -126,3 +126,35 @@ def dimer_quartet_analytic():
     inner = np.outer(t0, t0)
     half = np.eye(2) / 2.0
     return np.kron(half, np.kron(inner, half))
+
+
+_REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)],
+                          dtype=np.int64)
+
+
+def k0_by_search(parent):
+    """(states, orbit, sizes) of K0(parent.sector) by the int64 image loop and
+    a binary search of each label's smallest image among the parent labels.
+
+    ``parent`` is an XParity(p, p) or SzFixed(n/2) basis.
+    """
+    n = parent.n_spins
+    ones = np.int64((1 << n) - 1)
+    if isinstance(parent.sector, XParity):
+        even = np.int64(sum(1 << i for i in range(0, n, 2)))
+        exchange = lambda s: ((s & even) << 1) | ((s >> 1) & even)
+    else:
+        exchange = lambda s: s ^ ones
+    s = parent.states
+    n_bytes = -(-n // 8)
+    mirror = np.zeros_like(s)
+    for j in range(n_bytes):
+        mirror |= _REVERSED_BYTE[(s >> (8 * j)) & 255] << (8 * (n_bytes - 1 - j))
+    mirror >>= 8 * n_bytes - n
+    rep = s.copy()
+    for image in (s, exchange(s), mirror, exchange(mirror)):
+        for t in range(0, n, 2):
+            rep = np.minimum(rep, ((image << t) & ones) | (image >> (n - t)))
+    states = s[rep == s]
+    orbit = np.searchsorted(states, rep)
+    return states, orbit, np.bincount(orbit, minlength=len(states))

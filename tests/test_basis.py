@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from atxxz import basis
 from atxxz.basis import (CapacityError, Full, K0, PauliString, QuantumState,
                          SzFixed, XParity, apply_pauli_string, build_basis,
-                         expectation, pauli)
+                         expectation, pauli, popcount)
 from atxxz.eigensolve import ground_state
 from atxxz.models import STAGGERED_XXZ, ModelParams, build_hamiltonian
-from oracles import dense_op
+from oracles import dense_op, k0_by_search
 
 
 def basis_state(label, n, frame="z"):
@@ -59,6 +60,22 @@ class TestBuildBasis:
             with pytest.raises(KeyError):
                 b.index_of([5, label])
 
+    @pytest.mark.parametrize("label", [7.9, 7.5, -1, 64, np.nan, np.inf])
+    @pytest.mark.parametrize("sector,frame", [
+        (Full(), "z"), (SzFixed(3), "z"), (XParity(1, 1), "x"),
+        (K0(SzFixed(3)), "z"), (K0(XParity(1, 1)), "x")])
+    def test_lookup_refuses_bad_labels(self, sector, frame, label):
+        # a non-integer label is refused, not truncated onto a row; labels
+        # outside [0, 2^n) are refused before they are ranked
+        b = build_basis(6, sector, frame=frame)
+        with pytest.raises(KeyError):
+            b.index_of([b.states[0], label])
+
+    def test_lookup_takes_integral_floats(self):
+        b = build_basis(6, SzFixed(3))
+        assert np.array_equal(b.index_of([7.0, 56.0]), b.index_of([7, 56]))
+        assert b.index_of([]).size == 0
+
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             build_basis(29)
@@ -72,6 +89,28 @@ class TestBuildBasis:
             build_basis(4, XParity(2, 1))
         with pytest.raises(ValueError):
             build_basis(3, XParity(1, 1))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_enumeration_matches_brute_force(n):
+    # every SzFixed(k), and every XParity pair at even n, against the
+    # popcount filter of all 2^n labels; rows and orbits come back by rank
+    labels = np.arange(1 << n)
+    sigma = sum(1 << i for i in range(0, n, 2))
+    sectors = [(SzFixed(k), labels[popcount(labels) == k], "z")
+               for k in range(n + 1)]
+    if n % 2 == 0:
+        sectors += [(XParity(p1, p2), labels[
+            ((popcount(labels & sigma) % 2) == (p1 == -1))
+            & ((popcount(labels & (sigma << 1)) % 2) == (p2 == -1))], "x")
+            for p1 in (1, -1) for p2 in (1, -1)]
+    for sector, want, frame in sectors:
+        b = build_basis(n, sector, frame=frame)
+        assert b.states.dtype == np.int64 and np.array_equal(b.states, want)
+        assert np.array_equal(b.index_of(b.states), np.arange(b.dim))
+        if n % 2 == 0 and sector in (XParity(1, 1), XParity(-1, -1), SzFixed(n // 2)):
+            k0 = build_basis(n, K0(sector), frame=frame)
+            assert np.array_equal(k0.index_of(k0.parent.states), k0.orbit)
 
 
 def symmetry_orbit(label, n, exchange):
@@ -112,11 +151,28 @@ class TestK0Basis:
             assert b.states[row] == min(orbit) and b.sizes[row] == len(orbit)
 
     def test_dimensions(self):
-        # k=0 sector sizes at 14 and 16 spins, from the parent's 4096 / 16384
-        # (Ashkin-Teller) and 3432 / 12870 (XXZ) states
-        for m, at, xxz in ((7, 181, 155), (8, 627, 496)):
+        # k=0 sector sizes at 14, 16 and 20 spins, from the parent's 4096 /
+        # 16384 / 262144 (Ashkin-Teller) and 3432 / 12870 / 184756 (XXZ) states
+        for m, at, xxz in ((7, 181, 155), (8, 627, 496), (10, 6990, 4971)):
             assert build_basis(2 * m, K0(XParity(1, 1)), frame="x").dim == at
             assert build_basis(2 * m, K0(SzFixed(m))).dim == xxz
+
+    @pytest.mark.parametrize("m_sites", [8, 9, 10])
+    @pytest.mark.parametrize("parent,frame", [("xparity", "x"), ("szfixed", "z")])
+    def test_arrays_match_search_oracle(self, m_sites, parent, frame):
+        sector = XParity(1, 1) if parent == "xparity" else SzFixed(m_sites)
+        b = build_basis(2 * m_sites, K0(sector), frame=frame)
+        for got, want in zip((b.states, b.orbit, b.sizes), k0_by_search(b.parent)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("parent,frame", [("xparity", "x"), ("szfixed", "z")])
+    def test_chunked_images_match_search_oracle(self, parent, frame, monkeypatch):
+        # chunks that end mid-orbit, as 2^20-row chunks do from 24 spins on
+        monkeypatch.setattr(basis, "_CHUNK", 1000)
+        sector = XParity(1, 1) if parent == "xparity" else SzFixed(8)
+        b = build_basis(16, K0(sector), frame=frame)
+        for got, want in zip((b.states, b.orbit, b.sizes), k0_by_search(b.parent)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("sector", [XParity(1, -1), SzFixed(2), Full()])
     def test_refuses_asymmetric_parent(self, sector):

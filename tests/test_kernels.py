@@ -10,8 +10,8 @@ def _sector_deviation(model, oracle, m_sites, delta, beta):
     """Kernel build on the ground-sector basis vs the restricted Pauli oracle.
 
     On a sector basis SpinBasis.index_of maps the kernels' flipped labels to
-    rows by binary search, which the Full-basis oracle tests in test_models
-    only exercise as the identity.
+    rows by rank, which the Full-basis oracle tests in test_models only
+    exercise as the identity.
     """
     p = ModelParams(model, m_sites, delta=delta, beta=beta)
     h = build_hamiltonian(p, ground_sector(p))
