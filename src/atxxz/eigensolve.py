@@ -82,8 +82,8 @@ def dense_spectrum(h, k=None):
 def check_solver_args(tol, seed):
     """Refuse a ``tol`` or ``seed`` that no solve can use; callers that build
     a Hamiltonian first call this before they build it."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 

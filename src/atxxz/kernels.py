@@ -4,7 +4,8 @@ Both kernels take (states, m_sites, beta, delta), apply H to every basis
 label and emit (targets, cols, vals): the label each term maps to, the
 column of the source label and the matrix element, vectorized with one
 numpy pass per term. The basis turns target labels into rows; duplicate
-(row, col) pairs are summed by the CSR conversion.
+(row, col) pairs are summed by the CSR conversion. Couplings may be
+complex: each element is affine in each, so coupling 1j gives A + 1j B.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ def xxz_entries(states, m_sites, beta, delta):
     n = 2 * m_sites
     dim = len(states)
     idx = np.arange(dim, dtype=np.int64)
-    diag = np.zeros(dim)
+    diag = np.zeros(dim, dtype=np.result_type(beta, delta, 0.0))
     targets, cols, vals = [states], [idx], [diag]
     for a in range(n):
         b = (a + 1) % n
@@ -41,7 +42,7 @@ def at_entries(states, m_sites, beta, delta):
     """
     dim = len(states)
     idx = np.arange(dim, dtype=np.int64)
-    diag = np.zeros(dim)
+    diag = np.zeros(dim, dtype=np.result_type(beta, delta, 0.0))
     targets, cols, vals = [states], [idx], [diag]
     for j in range(m_sites):
         zs = 1 - 2 * ((states >> np.int64(2 * j)) & 1)

@@ -9,7 +9,7 @@ Site conventions (n = 2M spins in both models):
   XXZ:           spin i  -> bit i-1, i = 1..2M.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +25,8 @@ FRAMES = {ASHKIN_TELLER: "x", STAGGERED_XXZ: "z"}
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Couplings and geometry of one chain."""
+    """Couplings and geometry of one chain. A complex coupling is for
+    assembly only; ``ground_sector`` and ``k0_domain`` take real ones."""
 
     model: str  # "at" or "xxz"
     m_sites: int  # M; both chains carry 2M spins
@@ -89,9 +90,11 @@ def k0_domain(p):
     return p.beta > 0 and (p.model == STAGGERED_XXZ or p.delta >= 0)
 
 
-def build_hamiltonian(p, sector=Full()):
+def build_hamiltonian(p, sector=Full(), pencil=None):
     """Assemble the model Hamiltonian restricted to ``sector``, which may be
     the SpinBasis of an earlier build (``h.basis``), not enumerated again.
+    With ``pencil`` ("delta" or "beta") that coupling is raised by 1j; H is
+    affine in it, so the matrix is H(p) + 1j dH/d(pencil) on one pattern.
 
     In a K0 sector the element between orbit states r' and r is
     sqrt(N_r / N_r') times the sum of <s'|H|r> over s' in the orbit of r'.
@@ -111,8 +114,8 @@ def build_hamiltonian(p, sector=Full()):
     if basis is None:
         basis = build_basis(p.n_spins, sector, frame=FRAMES[p.model])
     entries = kernels.at_entries if p.model == ASHKIN_TELLER else kernels.xxz_entries
-    targets, cols, vals = entries(basis.states, p.m_sites, float(p.beta),
-                                  float(p.delta))
+    q = replace(p, **{pencil: getattr(p, pencil) + 1j}) if pencil else p
+    targets, cols, vals = entries(basis.states, p.m_sites, q.beta, q.delta)
     rows = basis.index_of(targets)
     if basis.sizes is not None:
         vals = vals * np.sqrt(basis.sizes[cols] / basis.sizes[rows])

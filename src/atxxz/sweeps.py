@@ -187,18 +187,14 @@ def run_sweep(spec):
     grid = spec.grid()
     base = sorted({q.split(":", 1)[-1] for q in spec.quantities})
 
-    # H(x) = A + x B with one sparsity pattern: H(0), H(1) on its basis, then data
     p = ModelParams(spec.model, spec.m_sites, delta=spec.delta, beta=spec.beta)
-    p0, p1 = (replace(p, **{spec.sweep: x}) for x in (0.0, 1.0))
+    p0 = replace(p, **{spec.sweep: 0.0})
     sector = ground_sector(p0)
     if all(k0_domain(replace(p, **{spec.sweep: x})) for x in (grid[0], grid[-1])):
         sector = K0(sector)
-    h = build_hamiltonian(p0, sector)
-    a, h = h.matrix, build_hamiltonian(p1, h.basis)
-    if not (np.array_equal(a.indptr, h.matrix.indptr)
-            and np.array_equal(a.indices, h.matrix.indices)):
-        raise RuntimeError(f"{spec.model} sparsity pattern depends on {spec.sweep}")
-    a, b = a.data, h.matrix.data - a.data
+    h = build_hamiltonian(p0, sector, spec.sweep)  # A + 1j B, H(x) = A + x B
+    a, b = h.matrix.data.real.copy(), h.matrix.data.imag.copy()
+    h.matrix.data = a.copy()  # contiguous float64, not a view of the complex
     warm = isinstance(sector, K0) and solver_path(h.dim, 2) == "arpack"
     points, v0 = [], None
     for x in grid:

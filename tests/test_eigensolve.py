@@ -205,7 +205,8 @@ class TestGroundState:
     @pytest.mark.parametrize("dim", [40, 200])  # dense and ARPACK paths
     @pytest.mark.parametrize("kw", [{"k": 0}, {"k": -1}, {"tol": -1.0},
                                     {"tol": 0.0}, {"tol": np.nan},
-                                    {"seed": -1}, {"v0": np.ones(3)}])
+                                    {"tol": np.inf}, {"seed": -1},
+                                    {"v0": np.ones(3)}])
     def test_argument_validation(self, dim, kw):
         with pytest.raises(ValueError):
             ground_state(_DenseWrapper(random_sym(dim, 0)), **kw)

@@ -130,6 +130,28 @@ class TestBuildHamiltonian:
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(a, attr), getattr(b, attr))
 
+    @pytest.mark.parametrize("coupling", ["delta", "beta"])
+    @pytest.mark.parametrize("model", [ASHKIN_TELLER, STAGGERED_XXZ])
+    @pytest.mark.parametrize("m_sites", [1, 2, 3, 4])
+    def test_pencil_holds_both_terms(self, model, m_sites, coupling):
+        # H(x) = A + x B, so the pencil build at x is H(x) + 1j B on H(x)'s
+        # pattern; M = 1 takes the Ashkin-Teller wrap-around branch
+        for x in (0.0, -0.6):
+            p = ModelParams(model, m_sites, **{"delta": 0.7, "beta": 1.3,
+                                               coupling: x})
+            for sector in (Full(), ground_sector(p), K0(ground_sector(p))):
+                hj = build_hamiltonian(p, sector, coupling).matrix
+                h0, h1 = (build_hamiltonian(replace(p, **{coupling: y}),
+                                            sector).matrix for y in (x, x + 1))
+                assert hj.dtype == np.complex128 and h0.dtype == np.float64
+                for h in (h0, h1):
+                    assert np.array_equal(hj.indptr, h.indptr)
+                    assert np.array_equal(hj.indices, h.indices)
+                # equal values; only the sign of some zero entries can differ
+                assert np.array_equal(hj.data.real, h0.data)
+                assert np.abs(hj.data.real + hj.data.imag
+                              - h1.data).max() <= 1e-14
+
     def test_misfit_basis_refused(self):
         at = build_hamiltonian(ModelParams(ASHKIN_TELLER, 2), Full()).basis
         with pytest.raises(ValueError, match="does not fit"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from atxxz import cli, kernels
-from atxxz.basis import K0, CapacityError, SzFixed, XParity
+from atxxz.basis import K0, CapacityError, SpinBasis, SzFixed, XParity
 from atxxz.eigensolve import ConvergenceError, ground_state
 from atxxz.entanglement import (InvalidStateError, negativity, reduce_state,
                                 von_neumann)
@@ -206,9 +206,9 @@ class TestRunSweep:
         builds = []
         real = sweeps_mod.build_hamiltonian
 
-        def counted(p, sector):
-            builds.append(p)
-            return real(p, sector)
+        def counted(p, sector, pencil):
+            builds.append((getattr(p, sweep), pencil))
+            return real(p, sector, pencil)
         monkeypatch.setattr(sweeps_mod, "build_hamiltonian", counted)
         bases = []
         real_basis = models_mod.build_basis
@@ -217,13 +217,22 @@ class TestRunSweep:
             bases.append(args)
             return real_basis(*args, **kw)
         monkeypatch.setattr(models_mod, "build_basis", counted_basis)
+        kernel_calls, lookups = [], []
+        for attr in ("at_entries", "xxz_entries"):
+            real_kernel = getattr(kernels, attr)
+            monkeypatch.setattr(kernels, attr, lambda *a, f=real_kernel: (
+                kernel_calls.append(a) or f(*a)))
+        real_index_of = SpinBasis.index_of
+        monkeypatch.setattr(SpinBasis, "index_of", lambda b, labels: (
+            lookups.append(labels) or real_index_of(b, labels)))
         spec = small_spec(model=model, m_sites=m_sites, sweep=sweep,
                           start=-0.4, stop=0.4, step=0.2, delta=0.7, beta=1.2,
                           block=(0, 1),
                           quantities=("energy", "entropy", "negativity"))
         rows = run_sweep(spec).rows
-        assert len(builds) == 2  # H(0) and H(1), whatever the grid length
-        assert len(bases) == 1  # both on one enumerated basis
+        # one pencil build, whatever the grid length
+        assert builds == [(0.0, sweep)]
+        assert len(bases) == len(kernel_calls) == len(lookups) == 1
         for i, x in enumerate(spec.grid()):
             p = ModelParams(model, m_sites, **{"delta": 0.7, "beta": 1.2, sweep: x})
             res = ground_state(real(p, ground_sector(p)), k=2, seed=0)
@@ -241,10 +250,9 @@ class TestRunSweep:
         sectors = []
         real = sweeps_mod.build_hamiltonian
 
-        def spy(p, sector):
-            # the second build gets the first one's basis
-            sectors.append(getattr(sector, "sector", sector))
-            return real(p, sector)
+        def spy(p, sector, pencil):
+            sectors.append(sector)
+            return real(p, sector, pencil)
         monkeypatch.setattr(sweeps_mod, "build_hamiltonian", spy)
         base = ("energy", "entropy", "negativity") + (
             ("m", "g") if model == ASHKIN_TELLER else ())
@@ -253,7 +261,7 @@ class TestRunSweep:
                           block=(0, 1, 2),
                           quantities=base + ("d1:entropy",))
         rows = run_sweep(spec).rows
-        assert sectors == [K0(ground_sector(ModelParams(model, m_sites)))] * 2
+        assert sectors == [K0(ground_sector(ModelParams(model, m_sites)))]
         grid = spec.grid()
         want = {q: [] for q in base}
         for x in grid:
@@ -288,13 +296,13 @@ class TestRunSweep:
         sectors = []
         real = sweeps_mod.build_hamiltonian
 
-        def spy(p, sec):
-            sectors.append(getattr(sec, "sector", sec))
-            return real(p, sec)
+        def spy(p, sec, pencil):
+            sectors.append(sec)
+            return real(p, sec, pencil)
         monkeypatch.setattr(sweeps_mod, "build_hamiltonian", spy)
         run_sweep(small_spec(model=model, m_sites=3, sweep=sweep, start=start,
                              stop=start + 0.4, step=0.2, block=(0, 1), **fixed))
-        assert sectors == [sector, sector]
+        assert sectors == [sector]
 
     def test_degenerate_point_flags_state_rows(self, caplog):
         # at delta = -1 the Ashkin-Teller ground level is degenerate and the
@@ -310,17 +318,6 @@ class TestRunSweep:
                          "d1:entropy": [False, False, True]}
         assert "delta=-1: degenerate" in caplog.text
 
-    def test_pattern_guard(self, monkeypatch):
-        real = kernels.at_entries
-
-        def drop_zeros(*args):
-            rows, cols, vals = real(*args)
-            keep = vals != 0  # a pattern that depends on delta
-            return rows[keep], cols[keep], vals[keep]
-        monkeypatch.setattr(kernels, "at_entries", drop_zeros)
-        with pytest.raises(RuntimeError, match="sparsity pattern"):
-            run_sweep(small_spec())
-
 
 def spy_solves(monkeypatch, fail=None):
     """Record ``(v0, result)`` of each solve ``run_sweep`` makes; ``fail``
@@ -329,6 +326,9 @@ def spy_solves(monkeypatch, fail=None):
     real = sweeps_mod.ground_state
 
     def solve(h, *a, v0=None, **k):
+        # the solver gets the real matrix, not a strided view of the complex one
+        data = h.matrix.data
+        assert data.dtype == np.float64 and data.flags.c_contiguous
         res = real(h, *a, v0=v0, **k)
         calls.append((v0, res))
         return res if fail is None else fail(len(calls) - 1, res)
@@ -563,7 +563,8 @@ class TestCli:
         capsys.readouterr()
         for argv in (["info", "--m-sites", "15"],  # 30 > MAX_SPINS
                      ["spectrum", "--tol", "-1"], ["spectrum", "--delta", "nan"],
-                     ["sweep", "--range", "0:inf:1"]):
+                     ["sweep", "--range", "0:inf:1"],
+                     ["sweep", "--tol", "inf"]):  # every residual <= inf
             assert cli.main(argv) == 1
             assert capsys.readouterr().err.startswith("error:")
 
