@@ -36,8 +36,9 @@ class ModelParams:
     def __post_init__(self):
         if self.model not in FRAMES:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.m_sites < 1:
-            raise ValueError("need at least one Ashkin-Teller site (two spins)")
+        if not (isinstance(self.m_sites, (int, np.integer)) and self.m_sites >= 1):
+            raise ValueError("need a whole number of Ashkin-Teller sites, at "
+                             f"least one (two spins), got {self.m_sites!r}")
         if not np.all(np.isfinite([self.delta, self.beta])):
             raise ValueError("delta and beta must be finite")
 

@@ -2,66 +2,39 @@
 
 import numpy as np
 
+from .basis import popcount
 from .models import ASHKIN_TELLER
 
 
-class SymmetryViolationError(Exception):
-    """Site or species symmetry broken beyond tolerance (wrong ground state?)."""
+def _label_weights(psi, p, name):
+    """Labels of an x-frame Ashkin-Teller state and their weights |c|^2.
 
-
-# largest spread of site values, and sigma/tau difference, read as symmetric
-SYMMETRY_TOL = 1e-9
-
-
-# signs of sigma^x, tau^x and sigma^x tau^x over a site's joint probability
-# columns, sigma bit + 2 * tau bit (a set bit is x-frame eigenvalue -1)
-_SIGNS = np.array([[1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
-
-
-def _site_values(psi, p, name):
-    """<sigma^x>, <tau^x> and <sigma^x tau^x> of each site, top site first.
-
-    Site j is bits 2j, 2j + 1. From the top site down, the row sums of the
-    probability vector's top two bits are the site's joint probabilities,
-    and the column sums leave the probabilities of the bits below.
+    m and g read a label only through popcounts that translation,
+    reflection and exchange keep, so a K0 representative stands for its
+    whole orbit, whose weight is |c_r|^2.
     """
-    if p.model != ASHKIN_TELLER or psi.basis.frame != "x":
+    b = psi.basis
+    if p.model != ASHKIN_TELLER or b.frame != "x":
         raise ValueError(f"{name} expects an x-frame Ashkin-Teller state")
-    if p.n_spins != psi.basis.n_spins:
-        raise ValueError(f"{name}: a {psi.basis.n_spins}-spin state for a "
+    if p.n_spins != b.n_spins:
+        raise ValueError(f"{name}: a {b.n_spins}-spin state for a "
                          f"{p.n_spins}-spin chain")
-    low = np.abs(psi.expand_full().amplitudes) ** 2
-    joint = []
-    for _ in range(p.m_sites):
-        top = low.reshape(4, -1)
-        joint.append(top.sum(axis=1))
-        low = top.sum(axis=0)
-    return np.array(joint) @ _SIGNS.T
-
-
-def _uniform(vals, what):
-    """Mean of the site values, checked to agree as translation requires."""
-    if vals.max() - vals.min() > SYMMETRY_TOL:
-        raise SymmetryViolationError(f"{what} spread {vals.max() - vals.min():.3e}"
-                                     f" exceeds {SYMMETRY_TOL:.1e}")
-    return vals.mean()
+    s = np.arange(b.dim) if b.states is None else b.states
+    return s, np.abs(psi.amplitudes) ** 2
 
 
 def magnetization_x(psi, p):
-    """Site-averaged <sigma^x> of an x-frame Ashkin-Teller ground state,
-    whose sigma and tau averages are checked to agree (exchange symmetry)."""
-    vals = _site_values(psi, p, "magnetization_x")
-    sigma = _uniform(vals[:, 0], "site values")
-    tau = _uniform(vals[:, 1], "site values")
-    if abs(sigma - tau) > SYMMETRY_TOL:
-        raise SymmetryViolationError(f"sigma/tau asymmetry {abs(sigma - tau):.3e}")
-    return float((sigma + tau) / 2.0)
+    """Site average of <sigma^x> and <tau^x>: a set bit is eigenvalue -1."""
+    s, w = _label_weights(psi, p, "magnetization_x")
+    return float(w @ (1 - 2 * popcount(s) / p.n_spins))
 
 
 def correlator_x(psi, p):
-    """Site-averaged on-site correlator <sigma^x tau^x>."""
-    vals = _site_values(psi, p, "correlator_x")
-    return float(_uniform(vals[:, 2], "correlator"))
+    """Site-averaged on-site correlator <sigma^x tau^x>, which is -1 where
+    the sigma bit 2j and the tau bit 2j + 1 differ."""
+    s, w = _label_weights(psi, p, "correlator_x")
+    even = sum(1 << i for i in range(0, p.n_spins, 2))
+    return float(w @ (1 - 2 * popcount((s ^ s >> 1) & even) / p.m_sites))
 
 
 def finite_difference(values, step, order=1):

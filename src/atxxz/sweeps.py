@@ -16,8 +16,7 @@ from .eigensolve import (ConvergenceError, check_solver_args, ground_state,
                          solver_path)
 from .entanglement import (MAX_KEPT_SITES, InvalidStateError, dsb, negativity,
                            reduce_state, von_neumann)
-from .observables import (SymmetryViolationError, correlator_x,
-                          finite_difference, magnetization_x)
+from .observables import correlator_x, finite_difference, magnetization_x
 
 _log = logging.getLogger("atxxz")
 
@@ -144,7 +143,7 @@ def _evaluate_point(spec, h, base_quantities, sites, v0):
     p = h.params
     try:
         res = ground_state(h, k=2, tol=spec.tol, seed=spec.seed, v0=v0)
-        psi = res.ground_state.expand_full()
+        psi = res.ground_state
         out = {}
         rho = None
         for q in base_quantities:
@@ -161,16 +160,32 @@ def _evaluate_point(spec, h, base_quantities, sites, v0):
             else:
                 half = sites[:max(1, len(sites) // 2)]
                 out[q] = negativity(rho, half) if q == "negativity" else dsb(rho, half)
-    except (ConvergenceError, SymmetryViolationError, InvalidStateError) as exc:
+    except (ConvergenceError, InvalidStateError) as exc:
         _warn(spec, p, f"{type(exc).__name__}: {exc}")
         return p, {q: float("nan") for q in base_quantities}, dict.fromkeys(
             base_quantities, False), None
-    if res.degenerate:
-        # the solver returns an arbitrary vector of the degenerate level
-        _warn(spec, p, f"degenerate ground state (gap {res.gap:.1e}); "
+    # the solver returns an arbitrary vector of a degenerate level. ARPACK
+    # may report the level once, with the next level's gap, but that vector
+    # then mixes momenta, and a unique level's vector does not
+    overlap = _translation_overlap(psi)
+    degenerate = res.degenerate or overlap < 1 - 1e-9
+    if degenerate:
+        _warn(spec, p, f"degenerate ground state (gap {res.gap:.1e}, "
+                       f"translation overlap {overlap:.6f}); "
                        "state-dependent rows flagged unconverged")
-    return p, out, {q: q == "energy" or not res.degenerate
+    return p, out, {q: q == "energy" or not degenerate
                     for q in base_quantities}, res
+
+
+def _translation_overlap(psi):
+    """|<psi|T|psi>| for T the translation by one site (two bits): 1 for an
+    eigenvector of T, such as a unique level's state, and for a K0 state.
+    T keeps a parent sector, so a moved label's row is its ``rank``."""
+    b, s = psi.basis, psi.basis.states
+    if b.parent is not None:
+        return 1.0
+    moved = ((s << 2) | (s >> (b.n_spins - 2))) & ((1 << b.n_spins) - 1)
+    return abs(np.vdot(psi.amplitudes, psi.amplitudes[b.rank(moved)]))
 
 
 def run_sweep(spec):

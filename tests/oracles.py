@@ -42,6 +42,17 @@ def series(result, quantity):
             np.array([r.value for r in rows]))
 
 
+def at_free_fermion(m_sites, beta):
+    """(E0, m, g) of the Ashkin-Teller chain at delta = 0: two decoupled
+    periodic transverse-field Ising chains, each in its even sector, where
+    the Jordan-Wigner fermions take k = (2j + 1) pi / M (Pfeuty, Ann. Phys.
+    57, 79 (1970)). m = <sigma^x>, and g = <sigma^x tau^x> = m^2."""
+    k = (2 * np.arange(m_sites) + 1) * np.pi / m_sites
+    r = np.sqrt(1 + beta**2 - 2 * beta * np.cos(k))
+    m = np.mean((1 - beta * np.cos(k)) / r)
+    return -2 * r.sum(), m, m**2
+
+
 def reduce_by_labels(psi, keep):
     """Partial trace of |psi><psi| by a loop over the sector's labels.
 

@@ -55,7 +55,8 @@ class TestModelParams:
     @pytest.mark.parametrize("kw", [
         {"model": "ising"}, {"m_sites": 0}, {"m_sites": -1}, {"model": "AT"},
         {"delta": np.inf}, {"beta": -np.inf}, {"delta": np.nan},
-        {"delta": -np.inf}, {"beta": np.nan}, {"beta": np.inf}])
+        {"delta": -np.inf}, {"beta": np.nan}, {"beta": np.inf},
+        {"m_sites": 2.0}, {"m_sites": 2.5}, {"m_sites": "3"}])
     def test_invalid(self, kw):
         base = {"model": ASHKIN_TELLER, "m_sites": 2}
         base.update(kw)

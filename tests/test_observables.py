@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from atxxz import ModelParams, build_basis, build_hamiltonian, ground_sector
-from atxxz.basis import K0, QuantumState, expectation, pauli
+from atxxz.basis import K0, Full, QuantumState, XParity, expectation, pauli
 from atxxz.eigensolve import dense_spectrum
 from atxxz.models import ASHKIN_TELLER, STAGGERED_XXZ
-from atxxz.observables import (SymmetryViolationError, correlator_x,
-                               finite_difference, locate_extremes,
-                               magnetization_x)
+from atxxz.observables import (correlator_x, finite_difference,
+                               locate_extremes, magnetization_x)
 
 
 @pytest.fixture(scope="module", params=[1, 2, 3])
@@ -62,15 +61,24 @@ class TestMagnetization:
                                    match=f"6-spin state for a {2 * m_sites}-spin"):
                     fn(psi, wrong)
 
-    def test_detects_broken_symmetry(self):
-        # a basis state concentrated on one label is not translation invariant
-        p = ModelParams(ASHKIN_TELLER, 2)
-        b = build_basis(p.n_spins, ground_sector(p), frame="x")
-        amps = np.zeros(b.dim)
-        amps[b.index_of([0b0101])[0]] = 1.0
-        psi = QuantumState(amps, b)
-        with pytest.raises(SymmetryViolationError):
-            magnetization_x(psi, p)
+    def test_asymmetric_states_match_pauli_expectation(self):
+        # random states break translation, reflection and exchange; the
+        # label sums are still the exact site averages of each state
+        rng = np.random.default_rng(7)
+        for m_sites in (1, 2, 3):
+            p = ModelParams(ASHKIN_TELLER, m_sites)
+            for sector in (Full(), XParity(1, 1)):
+                b = build_basis(p.n_spins, sector, frame="x")
+                amps = rng.normal(size=b.dim) + 1j * rng.normal(size=b.dim)
+                psi = QuantumState(amps / np.linalg.norm(amps), b)
+                m = np.mean([expectation(psi, pauli((s, "x")))
+                             for s in range(p.n_spins)])
+                g = np.mean([expectation(psi, pauli((2 * j, "x"), (2 * j + 1, "x")))
+                             for j in range(m_sites)])
+                # expand_full leaves its labels implicit
+                for state in (psi, psi.expand_full()):
+                    assert abs(magnetization_x(state, p) - m) <= 1e-12
+                    assert abs(correlator_x(state, p) - g) <= 1e-12
 
 
 class TestFiniteDifference:

@@ -5,19 +5,20 @@ import numpy as np
 import pytest
 
 from atxxz import cli, kernels
-from atxxz.basis import K0, CapacityError, SpinBasis, SzFixed, XParity
+from atxxz.basis import (K0, CapacityError, QuantumState, SpinBasis, SzFixed,
+                         XParity)
 from atxxz.eigensolve import ConvergenceError, ground_state
 from atxxz.entanglement import (InvalidStateError, negativity, reduce_state,
                                 von_neumann)
 from atxxz.models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
                           ground_sector)
-from atxxz.observables import (SymmetryViolationError, correlator_x,
-                               finite_difference, magnetization_x)
+from atxxz.observables import (correlator_x, finite_difference,
+                               magnetization_x)
 from atxxz.sweeps import (SweepSpec, figure_presets, read_csv, resolve_block,
                           run_sweep, write_csv)
 import atxxz.models as models_mod
 import atxxz.sweeps as sweeps_mod
-from oracles import series
+from oracles import at_free_fermion, series
 
 
 def small_spec(**kw):
@@ -75,7 +76,7 @@ class TestSweepSpec:
         {"beta": np.nan}, {"block": ()},
         {"block": (0,), "quantities": ("negativity",)},
         {"block": (1,), "quantities": ("energy", "d1:dsb")}, {"quantities": ()},
-        {"quantities": ("entropy", "entropy")}, {"seed": -1}])
+        {"quantities": ("entropy", "entropy")}, {"seed": -1}, {"m_sites": 2.0}])
     def test_refused_before_any_build(self, kw, monkeypatch):
         builds = []
         monkeypatch.setattr(sweeps_mod, "build_hamiltonian",
@@ -182,21 +183,32 @@ class TestRunSweep:
         assert flags["d2:entropy"] == [False, False, True, True, True]
         assert all(np.isfinite(r.value) == r.converged for r in result.rows)
 
-    @pytest.mark.parametrize("error", [SymmetryViolationError,
-                                       InvalidStateError])
-    def test_bad_point_becomes_nan_row(self, monkeypatch, caplog, error):
+    def test_bad_point_becomes_nan_row(self, monkeypatch, caplog):
         real = sweeps_mod.magnetization_x
 
         def fail_middle_point(psi, p):
             if abs(p.delta - 0.6) < 1e-9:
-                raise error("forced")
+                raise InvalidStateError("forced")
             return real(psi, p)
         monkeypatch.setattr(sweeps_mod, "magnetization_x", fail_middle_point)
         with caplog.at_level(logging.WARNING, logger="atxxz"):
             result = run_sweep(small_spec(quantities=("energy", "m")))
         assert [r.converged for r in result.rows] == [True, False, True] * 2
         assert all(np.isnan(r.value) != r.converged for r in result.rows)
-        assert "delta=0.6" in caplog.text and error.__name__ in caplog.text
+        assert "delta=0.6" in caplog.text and "InvalidStateError" in caplog.text
+
+    @pytest.mark.parametrize("start", [0.5, -0.3])  # K0 and ground sector
+    def test_only_the_partial_trace_expands(self, monkeypatch, start):
+        calls = []
+        real = QuantumState.expand_full
+        monkeypatch.setattr(QuantumState, "expand_full",
+                            lambda psi: calls.append(psi) or real(psi))
+        spec = small_spec(start=start, quantities=("energy", "m", "g"))
+        assert all(r.converged for r in run_sweep(spec).rows)
+        assert calls == []
+        spec = small_spec(start=start, quantities=("entropy", "negativity"))
+        run_sweep(spec)
+        assert len(calls) == len(spec.grid())
 
     @pytest.mark.parametrize("m_sites", [1, 2, 3])
     @pytest.mark.parametrize("sweep", ["delta", "beta"])
@@ -317,6 +329,31 @@ class TestRunSweep:
                          "negativity": [False, True, True],
                          "d1:entropy": [False, False, True]}
         assert "delta=-1: degenerate" in caplog.text
+
+    def test_degenerate_level_solved_once_flags_state_rows(self, caplog):
+        # at beta < 0 the 10-spin ground level is a pair of opposite momenta;
+        # ARPACK reports one vector of it and a gap to the next level, and
+        # that vector is no eigenvector of translation
+        quantities = ("energy", "entropy", "m", "g")
+        spec = small_spec(m_sites=5, sweep="beta", start=-0.35, stop=-0.25,
+                          step=0.05, delta=-0.95, quantities=quantities)
+        with caplog.at_level(logging.WARNING, logger="atxxz"):
+            rows = run_sweep(spec).rows
+        assert [r.converged for r in rows] == [True] * 3 + [False] * 9
+        assert caplog.text.count("translation overlap 0.") == 3
+
+
+class TestFreeFermionOracle:
+    @pytest.mark.parametrize("m_sites", [4, 6, 8, 10, 12])
+    def test_energy_m_and_g_at_delta_zero(self, m_sites):
+        spec = small_spec(m_sites=m_sites, sweep="beta", start=0.5, stop=1.5,
+                          step=0.5, delta=0.0, quantities=("energy", "m", "g"))
+        result = run_sweep(spec)
+        assert all(r.converged for r in result.rows)
+        want = np.array([at_free_fermion(m_sites, b) for b in spec.grid()])
+        for i, q in enumerate(("energy", "m", "g")):
+            _, got = series(result, q)
+            assert np.abs(got - want[:, i]).max() <= 1e-12
 
 
 def spy_solves(monkeypatch, fail=None):
@@ -548,25 +585,29 @@ class TestCli:
         assert code == 0
         assert "[PASS]" in report.read_text()
 
-    def test_argument_errors(self, capsys):
-        assert cli.main(["sweep", "--range", "oops"]) == 1
-        assert cli.main(["sweep", "--model", "heisenberg"]) == 1
+    def test_argument_errors(self, tmp_path, capsys):
+        # a sweep whose refusal regressed writes into tmp_path, not the cwd
+        out = ["--out", str(tmp_path / "s.csv")]
+        assert cli.main(["sweep", "--range", "oops", *out]) == 1
+        assert cli.main(["sweep", "--model", "heisenberg", *out]) == 1
         assert cli.main(["figure", "fig99"]) == 1
-        assert cli.main(["sweep", "--block", "no-such-preset"]) == 1
+        assert cli.main(["sweep", "--block", "no-such-preset", *out]) == 1
         assert cli.main(["spectrum", "--levels", "0"]) == 1
-        assert cli.main(["sweep", "--threads", "2"]) == 1
-        assert cli.main(["figure", "fig6", "--threads", "2"]) == 1
-        assert cli.main(["sweep", "--range=-1.05:0:0.05"]) == 1
+        assert cli.main(["sweep", "--threads", "2", *out]) == 1
+        assert cli.main(["figure", "fig6", "--threads", "2",
+                         "--out", str(tmp_path / "fig6")]) == 1
+        assert cli.main(["sweep", "--range=-1.05:0:0.05", *out]) == 1
         capsys.readouterr()
         assert cli.main(["spectrum", "--delta=-1.05"]) == 1
         assert "--sector full" in capsys.readouterr().err
         capsys.readouterr()
         for argv in (["info", "--m-sites", "15"],  # 30 > MAX_SPINS
                      ["spectrum", "--tol", "-1"], ["spectrum", "--delta", "nan"],
-                     ["sweep", "--range", "0:inf:1"],
-                     ["sweep", "--tol", "inf"]):  # every residual <= inf
+                     ["sweep", "--range", "0:inf:1", *out],
+                     ["sweep", "--tol", "inf", *out]):  # every residual <= inf
             assert cli.main(argv) == 1
             assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):
@@ -579,7 +620,7 @@ class TestCli:
     def test_bad_point_writes_csv_and_exits_2(self, tmp_path, monkeypatch,
                                               capsys):
         def boom(*a, **k):
-            raise SymmetryViolationError("forced")
+            raise InvalidStateError("forced")
         monkeypatch.setattr(sweeps_mod, "magnetization_x", boom)
         out = tmp_path / "x.csv"
         code = cli.main(["sweep", "--m-sites", "2", "--range", "0.5:0.6:0.1",
