@@ -159,7 +159,7 @@ def _cmd_spectrum(args):
     for i, e in enumerate(res.energies):
         print(f"E{i} = {e:.12f}")
     if res.degenerate:
-        print("note: near-degenerate ground state")
+        print("note: degenerate ground state")
     return EXIT_OK
 
 

@@ -36,6 +36,8 @@ class EigenResult:
     residuals: np.ndarray
     gap: Optional[float] = None
     degenerate: bool = False
+    # |<psi0|T|psi0>| for T the translation by one site
+    overlap: float = 1.0
 
     @property
     def ground_energy(self):
@@ -47,12 +49,30 @@ class EigenResult:
 
 
 def _result(h, w, v, k, residuals):
-    """EigenResult of the lowest ``k`` of the ascending pairs ``w``, ``v``;
-    the gap and the degeneracy flag read ``w[0]`` and ``w[1]``."""
+    """EigenResult of the lowest ``k`` of the ascending pairs ``w``, ``v``.
+
+    The level is degenerate when the gap ``w[1] - w[0]`` is below
+    GAP_TOL_REL, or when ``psi0`` is no eigenvector of translation: ARPACK
+    may report a degenerate level once, with the next level's gap, and its
+    vector then mixes momenta, while a unique level's vector does not.
+    """
     states = [QuantumState(v[:, i].copy(), h.basis) for i in range(k)]
     gap = float(w[1] - w[0]) if len(w) > 1 else None
-    degenerate = gap is not None and gap < GAP_TOL_REL * max(abs(w[0]), 1.0)
-    return EigenResult(w[:k], states, residuals, gap, degenerate)
+    overlap = _translation_overlap(states[0])
+    degenerate = (gap is not None and gap < GAP_TOL_REL * max(abs(w[0]), 1.0)
+                  or overlap < 1 - 1e-9)
+    return EigenResult(w[:k], states, residuals, gap, degenerate, overlap)
+
+
+def _translation_overlap(psi):
+    """|<psi|T|psi>| for T the translation by one site (two bits): 1 for an
+    eigenvector of T, such as a unique level's state, and for a K0 state.
+    T keeps a parent sector, so a moved label's row is its ``rank``."""
+    b, s = psi.basis, psi.basis.states
+    if b.parent is not None:
+        return 1.0
+    moved = ((s << 2) | (s >> (b.n_spins - 2))) & ((1 << b.n_spins) - 1)
+    return float(abs(np.vdot(psi.amplitudes, psi.amplitudes[b.rank(moved)])))
 
 
 def _check_dense(dim):

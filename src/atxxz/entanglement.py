@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import basis
 from .basis import CapacityError
 
 MAX_KEPT_SITES = 14
@@ -42,12 +43,36 @@ def reduce_state(psi, keep):
     if len(keep) > MAX_KEPT_SITES:
         raise CapacityError(f"cannot keep more than {MAX_KEPT_SITES} sites densely")
 
-    # bit s of a label is axis n-1-s of the 2^n tensor; the kept axes go to
-    # the front in reversed order, so keep[0] is rho's least significant bit
-    tens = psi.expand_full().amplitudes.reshape((2,) * n)
-    tens = np.moveaxis(tens, [n - 1 - s for s in reversed(keep)], range(len(keep)))
-    mat = tens.reshape(1 << len(keep), -1)
-    rho = mat @ mat.conj().T
+    # sorted labels: each value of the bits from ``low`` up is one slice of
+    # rows, zero-padded to 2^low amplitudes; the kept sites all lie below
+    # ``low``, so each slice adds its own term to rho
+    b, k = psi.basis, len(keep)
+    low = min(n, max(basis._CHUNK.bit_length() - 1, max(keep) + 1))
+    amps, labels = psi.amplitudes, b.states
+    if b.parent is not None:
+        amps, labels = amps / np.sqrt(b.sizes), b.parent.states
+    starts = np.arange((1 << (n - low)) + 1) << low
+    if b.is_full():  # a slice of the amplitudes is its own buffer
+        edges, buf = starts, None
+    else:
+        edges, buf = np.searchsorted(labels, starts), np.empty(1 << low, amps.dtype)
+    rho = np.zeros((1 << k, 1 << k), dtype=amps.dtype)
+    # bit s of a label is axis low-1-s of the slice tensor; the kept axes go
+    # to the front in reversed order, so keep[0] is rho's least significant bit
+    axes = [low - 1 - s for s in reversed(keep)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if lo == hi:
+            continue
+        if b.is_full():
+            chunk = amps[lo:hi]
+        else:
+            buf.fill(0)
+            buf[labels[lo:hi] & ((1 << low) - 1)] = (
+                amps[lo:hi] if b.parent is None else amps[b.orbit[lo:hi]])
+            chunk = buf
+        tens = np.moveaxis(chunk.reshape((2,) * low), axes, range(k))
+        mat = tens.reshape(1 << k, -1)
+        rho += mat @ mat.conj().T
     return DensityMatrix(tuple(keep), rho / np.trace(rho).real)
 
 

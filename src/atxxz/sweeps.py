@@ -164,28 +164,12 @@ def _evaluate_point(spec, h, base_quantities, sites, v0):
         _warn(spec, p, f"{type(exc).__name__}: {exc}")
         return p, {q: float("nan") for q in base_quantities}, dict.fromkeys(
             base_quantities, False), None
-    # the solver returns an arbitrary vector of a degenerate level. ARPACK
-    # may report the level once, with the next level's gap, but that vector
-    # then mixes momenta, and a unique level's vector does not
-    overlap = _translation_overlap(psi)
-    degenerate = res.degenerate or overlap < 1 - 1e-9
-    if degenerate:
+    if res.degenerate:
         _warn(spec, p, f"degenerate ground state (gap {res.gap:.1e}, "
-                       f"translation overlap {overlap:.6f}); "
+                       f"translation overlap {res.overlap:.6f}); "
                        "state-dependent rows flagged unconverged")
-    return p, out, {q: q == "energy" or not degenerate
+    return p, out, {q: q == "energy" or not res.degenerate
                     for q in base_quantities}, res
-
-
-def _translation_overlap(psi):
-    """|<psi|T|psi>| for T the translation by one site (two bits): 1 for an
-    eigenvector of T, such as a unique level's state, and for a K0 state.
-    T keeps a parent sector, so a moved label's row is its ``rank``."""
-    b, s = psi.basis, psi.basis.states
-    if b.parent is not None:
-        return 1.0
-    moved = ((s << 2) | (s >> (b.n_spins - 2))) & ((1 << b.n_spins) - 1)
-    return abs(np.vdot(psi.amplitudes, psi.amplitudes[b.rank(moved)]))
 
 
 def run_sweep(spec):

@@ -53,6 +53,20 @@ def at_free_fermion(m_sites, beta):
     return -2 * r.sum(), m, m**2
 
 
+def reduce_dense(psi, keep):
+    """Unit-trace partial trace through the dense 2^n amplitude vector.
+
+    Bit s of a label is axis n-1-s of the 2^n tensor; the kept axes go to
+    the front in reversed order, so keep[0] is rho's least significant bit.
+    """
+    n = psi.basis.n_spins
+    tens = psi.expand_full().amplitudes.reshape((2,) * n)
+    tens = np.moveaxis(tens, [n - 1 - s for s in reversed(keep)], range(len(keep)))
+    mat = tens.reshape(1 << len(keep), -1)
+    rho = mat @ mat.conj().T
+    return rho / np.trace(rho).real
+
+
 def reduce_by_labels(psi, keep):
     """Partial trace of |psi><psi| by a loop over the sector's labels.
 

@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from atxxz.basis import (K0, CapacityError, Full, QuantumState, SzFixed,
-                         XParity, build_basis)
+import atxxz.basis as basis_mod
+from atxxz.basis import (K0, CapacityError, Full, QuantumState, SpinBasis,
+                         SzFixed, XParity, build_basis)
+from atxxz.eigensolve import ground_state
 from atxxz.entanglement import (DensityMatrix, InvalidStateError, dsb,
                                 min_pt_eigenvalue, negativity,
                                 partial_transpose, reduce_state, von_neumann)
+from atxxz.models import ASHKIN_TELLER, ModelParams, build_hamiltonian
 from oracles import (dimer_quartet_analytic, frontal_pair_analytic,
-                     lambda_analytic, reduce_by_labels,
+                     lambda_analytic, reduce_by_labels, reduce_dense,
                      validate_density_matrix)
 
 
@@ -20,20 +25,6 @@ def bell(n=2):
     v = np.zeros(1 << n)
     v[0] = v[(1 << n) - 1] = 1.0 / np.sqrt(2.0)
     return state(v, n)
-
-
-def reduce_oracle(psi, keep):
-    """Partial trace by a transpose of the full 2^n tensor."""
-    n = psi.basis.n_spins
-    amps = psi.expand_full().amplitudes
-    # numpy axis q holds bit n-1-q; order kept bits so keep[0] lands on the
-    # least significant position of the row index
-    tens = np.transpose((amps / np.linalg.norm(amps)).reshape(
-        (2,) * n), [n - 1 - s for s in reversed(keep)] +
-        [n - 1 - s for s in range(n) if s not in keep])
-    k = len(keep)
-    mat = tens.reshape(1 << k, -1)
-    return mat @ mat.conj().T
 
 
 def oracle_states():
@@ -60,13 +51,47 @@ class TestReduceState:
     @pytest.mark.parametrize("keep", [[0], [2], [0, 1], [1, 3], [3, 0], [0, 2, 3],
                                       [2, 0, 3]])
     def test_matches_einsum_oracle(self, keep):
-        # the tensor oracle shares the implementation's algorithm; the label
-        # loop reads the sector labels and never builds the 2^n vector
+        # the dense oracle transposes the whole 2^n tensor; the label loop
+        # reads the sector labels one at a time
         for psi in oracle_states():
             rho = reduce_state(psi, keep)
-            for oracle in (reduce_oracle, reduce_by_labels):
+            for oracle in (reduce_dense, reduce_by_labels):
                 assert np.allclose(rho.matrix, oracle(psi, keep), atol=1e-12)
             validate_density_matrix(rho)
+
+    @pytest.mark.parametrize("chunk", [2, 8, 1 << 16])
+    @pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
+    def test_slices_match_dense_trace(self, monkeypatch, chunk, m_sites):
+        # slices of 2^low labels, some of them empty, add up to the trace of
+        # the whole 2^n vector; keeps are unordered or hold the top site
+        monkeypatch.setattr(basis_mod, "_CHUNK", chunk)
+        n = 2 * m_sites
+        rng = np.random.default_rng(n)
+        keeps = [[0], [n - 1], [n - 1, 0], list(range(n))[::-1][:4]]
+        keeps += [[int(s) for s in rng.permutation(n)[:3]] for _ in range(2)]
+        bases = [SpinBasis(n, None, Full()), build_basis(n, Full())]
+        bases += [build_basis(n, sector, frame) for sector, frame in (
+            (XParity(1, -1), "x"), (SzFixed(m_sites), "z"),
+            (K0(XParity(1, 1)), "x"), (K0(SzFixed(m_sites)), "z"))]
+        for b in bases:
+            for amps in (rng.normal(size=b.dim),
+                         rng.normal(size=b.dim) + 1j * rng.normal(size=b.dim)):
+                psi = QuantumState(amps, b)
+                for keep in keeps:
+                    rho = reduce_state(psi, keep).matrix
+                    assert np.abs(rho - reduce_dense(psi, keep)).max() <= 1e-14
+
+    def test_frontal_pair_allocates_no_state_vector(self):
+        # a 20-spin amplitude vector alone takes 8 MiB
+        p = ModelParams(ASHKIN_TELLER, 10, delta=1.0, beta=1.0)
+        psi = ground_state(build_hamiltonian(p, K0(XParity(1, 1)))).ground_state
+        tracemalloc.start()
+        try:
+            reduce_state(psi, (0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     def test_complement_spectra_agree(self):
         # pure global state: rho_A and rho_B share nonzero eigenvalues

@@ -198,17 +198,16 @@ class TestRunSweep:
         assert "delta=0.6" in caplog.text and "InvalidStateError" in caplog.text
 
     @pytest.mark.parametrize("start", [0.5, -0.3])  # K0 and ground sector
-    def test_only_the_partial_trace_expands(self, monkeypatch, start):
+    def test_no_sweep_expands(self, monkeypatch, start):
+        # the partial trace and m, g read the state's own labels
         calls = []
         real = QuantumState.expand_full
         monkeypatch.setattr(QuantumState, "expand_full",
                             lambda psi: calls.append(psi) or real(psi))
-        spec = small_spec(start=start, quantities=("energy", "m", "g"))
-        assert all(r.converged for r in run_sweep(spec).rows)
+        for quantities in (("energy", "m", "g"), ("entropy", "negativity")):
+            spec = small_spec(start=start, quantities=quantities)
+            assert all(r.converged for r in run_sweep(spec).rows)
         assert calls == []
-        spec = small_spec(start=start, quantities=("entropy", "negativity"))
-        run_sweep(spec)
-        assert len(calls) == len(spec.grid())
 
     @pytest.mark.parametrize("m_sites", [1, 2, 3])
     @pytest.mark.parametrize("sweep", ["delta", "beta"])
@@ -552,6 +551,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "E0" in out and "E2" in out
         assert len(bases) == 1
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_spectrum_notes_level_solved_once(self, capsys, seed):
+        # the 14-spin ground level at beta < 0 is a pair of opposite
+        # momenta; from seed 0 ARPACK reports it once, with the next gap
+        assert cli.main(["spectrum", "--m-sites", "7", "--delta", "-0.95",
+                         "--beta", "-1", "--seed", seed]) == 0
+        assert "note: degenerate ground state" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["spectrum", "sweep"])
     def test_negative_seed_refused_before_any_build(self, command, capsys,
