@@ -5,6 +5,7 @@ and bit value 0 means eigenvalue +1 of the diagonal Pauli of the basis
 frame ("z" frame: sigma^z = +1, i.e. spin up; "x" frame: sigma^x = +1).
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -73,9 +74,7 @@ class SpinBasis:
     """Ordered list of basis labels, optionally restricted to a sector."""
 
     n_spins: int
-    # strictly increasing int64 labels; None on a Full basis that leaves its
-    # labels 0 .. 2^n - 1 implicit
-    states: Optional[np.ndarray]
+    states: np.ndarray  # strictly increasing int64 labels
     sector: object = field(default_factory=Full)
     frame: str = "z"  # "z" or "x": which single-spin Pauli is diagonal
     # K0 sectors only: the parent sector's basis, the row of each parent
@@ -88,7 +87,7 @@ class SpinBasis:
 
     @property
     def dim(self):
-        return 1 << self.n_spins if self.states is None else len(self.states)
+        return len(self.states)
 
     def rank(self, labels):
         """Row that each label in [0, 2^n) would hold in this Full, XParity
@@ -117,16 +116,23 @@ class SpinBasis:
         if labels.dtype.kind not in "biu" and not np.all(labels == np.trunc(labels)):
             raise KeyError("non-integer label")
         labels = labels.astype(np.int64, copy=False)
-        if self.states is None:  # implicit Full basis: a label is its row
-            return labels
         b = self if self.parent is None else self.parent
         rows = b.rank(labels)
         if np.any(np.take(b.states, rows, mode="clip") != labels):
             raise KeyError("label not in basis sector")
         return rows if self.parent is None else self.orbit[rows]
 
-    def is_full(self):
-        return isinstance(self.sector, Full)
+
+def sector_dim(n_spins, sector):
+    """Dimension of a Full, XParity or SzFixed sector, by its closed form;
+    nothing is enumerated. A K0 sector has none: ValueError."""
+    if isinstance(sector, Full):
+        return 1 << n_spins
+    if isinstance(sector, XParity):
+        return 1 << (n_spins - 2)
+    if isinstance(sector, SzFixed):
+        return math.comb(n_spins, sector.n_up)
+    raise ValueError(f"no closed-form dimension for sector {sector!r}")
 
 
 def build_basis(n_spins, sector=Full(), frame="z"):
@@ -266,12 +272,10 @@ class QuantumState:
         with r the orbit of s and N_r its size, in one gather and one scatter.
         """
         b = self.basis
-        if b.is_full():
-            return self
         amps, labels = self.amplitudes, b.states
         if b.parent is not None:
             amps, labels = (amps / np.sqrt(b.sizes))[b.orbit], b.parent.states
-        full = SpinBasis(b.n_spins, None, Full(), b.frame)
+        full = build_basis(b.n_spins, Full(), b.frame)
         out = np.zeros(full.dim, dtype=amps.dtype)
         out[labels] = amps
         return QuantumState(out, full)

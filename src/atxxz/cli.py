@@ -5,10 +5,11 @@ failure.
 """
 
 import argparse
+import os
 import sys
 
 from . import __version__
-from .basis import CapacityError, Full, K0, build_basis
+from .basis import CapacityError, Full, K0, build_basis, sector_dim
 from .models import (ASHKIN_TELLER, FRAMES, ModelParams, build_hamiltonian,
                      ground_sector, k0_domain)
 from .eigensolve import (ConvergenceError, check_solver_args, ground_state,
@@ -62,16 +63,21 @@ def _load_config(path):
     return values
 
 
+def _check_out(path, directory=False):
+    """Refuse an ``--out`` of the wrong kind before any solve: a directory
+    where a file goes, or a file where a directory goes or above it."""
+    d = os.path.abspath(path)
+    while not os.path.exists(d):  # each writer makes missing directories
+        d = os.path.dirname(d)
+    want_dir = directory or d != os.path.abspath(path)
+    if os.path.isdir(d) != want_dir:
+        raise _ArgumentError(f"--out {path!r}: {d} is {'not ' * want_dir}a directory")
+
+
 def _build_parser():
     parser = _Parser(prog="atxxz", description=__doc__)
     parser.add_argument("--config", help="key=value file with flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
-
-    def add_parser(name, **kw):
-        p = sub.add_parser(name, **kw)
-        subparsers[name] = p
-        return p
 
     def common(p):
         p.add_argument("--model", choices=tuple(FRAMES), default=ASHKIN_TELLER)
@@ -82,7 +88,7 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-10)
 
-    p_sweep = add_parser("sweep", help="general ground-state sweep")
+    p_sweep = sub.add_parser("sweep", help="general ground-state sweep")
     common(p_sweep)
     p_sweep.add_argument("--sweep", choices=("delta", "beta"), default="delta")
     p_sweep.add_argument("--range", default="0.5:1.5:0.025",
@@ -93,27 +99,26 @@ def _build_parser():
                          help="repeatable; e.g. entropy, negativity, d1:entropy")
     p_sweep.add_argument("--out", default="sweep.csv")
 
-    p_fig = add_parser("figure", help="named figure-reproduction preset")
+    p_fig = sub.add_parser("figure", help="named figure-reproduction preset")
     p_fig.add_argument("name", choices=FIGURES)
     p_fig.add_argument("--out", default=".", help="output directory")
     p_fig.add_argument("--full", action="store_true",
                        help="use the original 20-spin chain sizes")
 
-    p_spec = add_parser("spectrum", help="low-lying energies of one chain")
+    p_spec = sub.add_parser("spectrum", help="low-lying energies of one chain")
     common(p_spec)
     p_spec.add_argument("--sector", choices=("ground", "full"), default="ground")
     p_spec.add_argument("--levels", type=int, default=2)
 
-    p_ver = add_parser("verify", help="equivalence and algebra checks")
+    p_ver = sub.add_parser("verify", help="equivalence and algebra checks")
     p_ver.add_argument("suites", nargs="+", choices=(*verify_mod.SUITE_MAX_M, "all"))
     p_ver.add_argument("--m", dest="m_sites", type=int, default=3)
     p_ver.add_argument("--delta", type=float, default=1.0)
     p_ver.add_argument("--beta", type=float, default=1.0)
     p_ver.add_argument("--out", default=None, help="write the report here too")
 
-    p_info = add_parser("info", help="build and capacity information")
-    common(p_info)
-    return parser, subparsers
+    common(sub.add_parser("info", help="build and capacity information"))
+    return parser, sub.choices
 
 
 def _rows_exit(rows, head):
@@ -124,6 +129,7 @@ def _rows_exit(rows, head):
 
 
 def _cmd_sweep(args):
+    _check_out(args.out)
     start, stop, step = _parse_range(args.range)
     quantities = args.quantity or ["entropy"]
     if isinstance(quantities, str):  # config-file value
@@ -139,6 +145,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_figure(args):
+    _check_out(args.out, directory=True)
     code = EXIT_OK
     for spec in figure_presets(args.name, full=args.full, out_dir=args.out):
         rows = run_sweep(spec).rows
@@ -150,10 +157,9 @@ def _cmd_spectrum(args):
     check_solver_args(args.tol, args.seed)
     p = ModelParams(args.model, args.m_sites, delta=args.delta, beta=args.beta)
     sector = ground_sector(p) if args.sector == "ground" else Full()
-    # refuse a solve beyond capacity from the sector dimension, before H exists
-    basis = build_basis(p.n_spins, sector, frame=FRAMES[p.model])
-    solver_path(basis.dim, args.levels)
-    h = build_hamiltonian(p, basis)
+    # refuse a solve beyond capacity before any basis is enumerated
+    solver_path(sector_dim(p.n_spins, sector), args.levels)
+    h = build_hamiltonian(p, sector)
     res = ground_state(h, k=args.levels, tol=args.tol, seed=args.seed)
     print(f"model={p.model} spins={p.n_spins} sector={sector} dim={h.dim}")
     for i, e in enumerate(res.energies):
@@ -164,10 +170,13 @@ def _cmd_spectrum(args):
 
 
 def _cmd_verify(args):
+    if args.out:
+        _check_out(args.out)
     reports = verify_mod.run_suites(args.suites, args.m_sites, args.delta, args.beta)
     text = "\n".join(r.summary() for r in reports)
     print(text)
     if args.out:
+        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     failed = sum(not r.passed and not r.inconclusive for r in reports)
@@ -224,7 +233,7 @@ def main(argv=None):
                    "spectrum": _cmd_spectrum, "verify": _cmd_verify,
                    "info": _cmd_info}[args.command]
         return handler(args)
-    except (_ArgumentError, ValueError, KeyError, FileNotFoundError,
+    except (_ArgumentError, ValueError, KeyError, OSError,
             CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGUMENT

@@ -117,13 +117,12 @@ def _check_inputs(dim, tol, seed, v0):
                              f"of length {dim}")
 
 
-def lanczos_ground(h, k=1, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0,
-                   v0=None):
+def lanczos_ground(h, k=1, tol=DEFAULT_TOL, seed=0, v0=None):
     """Lowest-k eigenpairs by implicitly restarted Lanczos (ARPACK ``eigsh``).
 
     The matrix is reached only through ``h.matvec``. The first attempt
     starts from ``v0`` if given, else from a vector drawn from ``seed``, so
-    a run is deterministic; ``max_iter`` caps ARPACK's restarts. Every
+    a run is deterministic; DEFAULT_MAX_ITER caps ARPACK's restarts. Every
     returned pair must satisfy ``|Hv - theta v| <= tol`` (ARPACK's own
     tolerance is relative to |theta|). Failing that, or on an ARPACK error,
     the solve is retried once from a vector drawn from ``seed + 1`` before
@@ -150,7 +149,7 @@ def lanczos_ground(h, k=1, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0,
             start = rng.uniform(-1.0, 1.0, h.dim)
         try:
             theta, vectors = eigsh(op, k=k, which="SA", v0=start, tol=rel_tol,
-                                   maxiter=max_iter, rng=rng)
+                                   maxiter=DEFAULT_MAX_ITER, rng=rng)
         except ArpackError:  # includes ArpackNoConvergence
             # no k pairs to check: report the start vector's Rayleigh residual
             v = start / np.linalg.norm(start)

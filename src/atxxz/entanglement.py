@@ -51,11 +51,8 @@ def reduce_state(psi, keep):
     amps, labels = psi.amplitudes, b.states
     if b.parent is not None:
         amps, labels = amps / np.sqrt(b.sizes), b.parent.states
-    starts = np.arange((1 << (n - low)) + 1) << low
-    if b.is_full():  # a slice of the amplitudes is its own buffer
-        edges, buf = starts, None
-    else:
-        edges, buf = np.searchsorted(labels, starts), np.empty(1 << low, amps.dtype)
+    edges = np.searchsorted(labels, np.arange((1 << (n - low)) + 1) << low)
+    buf = np.empty(1 << low, amps.dtype)
     rho = np.zeros((1 << k, 1 << k), dtype=amps.dtype)
     # bit s of a label is axis low-1-s of the slice tensor; the kept axes go
     # to the front in reversed order, so keep[0] is rho's least significant bit
@@ -63,14 +60,10 @@ def reduce_state(psi, keep):
     for lo, hi in zip(edges[:-1], edges[1:]):
         if lo == hi:
             continue
-        if b.is_full():
-            chunk = amps[lo:hi]
-        else:
-            buf.fill(0)
-            buf[labels[lo:hi] & ((1 << low) - 1)] = (
-                amps[lo:hi] if b.parent is None else amps[b.orbit[lo:hi]])
-            chunk = buf
-        tens = np.moveaxis(chunk.reshape((2,) * low), axes, range(k))
+        buf.fill(0)
+        buf[labels[lo:hi] & ((1 << low) - 1)] = (
+            amps[lo:hi] if b.parent is None else amps[b.orbit[lo:hi]])
+        tens = np.moveaxis(buf.reshape((2,) * low), axes, range(k))
         mat = tens.reshape(1 << k, -1)
         rho += mat @ mat.conj().T
     return DensityMatrix(tuple(keep), rho / np.trace(rho).real)

@@ -49,7 +49,8 @@ class ModelParams:
 
 @dataclass(eq=False)
 class SparseHamiltonian:
-    """Real symmetric Hamiltonian in CSR layout over a (sector) basis."""
+    """Symmetric Hamiltonian in CSR layout over a (sector) basis: real, or
+    complex symmetric when built with a ``pencil``."""
 
     basis: SpinBasis
     matrix: sp.csr_matrix
@@ -92,28 +93,21 @@ def k0_domain(p):
 
 
 def build_hamiltonian(p, sector=Full(), pencil=None):
-    """Assemble the model Hamiltonian restricted to ``sector``, which may be
-    the SpinBasis of an earlier build (``h.basis``), not enumerated again.
-    With ``pencil`` ("delta" or "beta") that coupling is raised by 1j; H is
-    affine in it, so the matrix is H(p) + 1j dH/d(pencil) on one pattern.
+    """Assemble the model Hamiltonian restricted to the sector descriptor
+    ``sector``. With ``pencil`` ("delta" or "beta") that coupling is raised
+    by 1j; H is affine in it, so the matrix is H(p) + 1j dH/d(pencil) on one
+    pattern.
 
     In a K0 sector the element between orbit states r' and r is
     sqrt(N_r / N_r') times the sum of <s'|H|r> over s' in the orbit of r'.
     """
-    basis = sector if isinstance(sector, SpinBasis) else None
-    if basis is not None:
-        if (basis.n_spins, basis.frame) != (p.n_spins, FRAMES[p.model]):
-            raise ValueError(f"a {basis.n_spins}-spin {basis.frame}-frame basis "
-                             f"does not fit the {p.n_spins}-spin {p.model} chain")
-        sector = basis.sector
     parent = sector.parent if isinstance(sector, K0) else sector
     if isinstance(parent, SzFixed) and p.model != STAGGERED_XXZ:
         raise ValueError("SzFixed sectors apply to the XXZ chain only")
     if isinstance(parent, XParity) and p.model != ASHKIN_TELLER:
         raise ValueError("XParity sectors apply to the Ashkin-Teller chain only")
 
-    if basis is None:
-        basis = build_basis(p.n_spins, sector, frame=FRAMES[p.model])
+    basis = build_basis(p.n_spins, sector, frame=FRAMES[p.model])
     entries = kernels.at_entries if p.model == ASHKIN_TELLER else kernels.xxz_entries
     q = replace(p, **{pencil: getattr(p, pencil) + 1j}) if pencil else p
     targets, cols, vals = entries(basis.states, p.m_sites, q.beta, q.delta)

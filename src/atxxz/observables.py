@@ -19,8 +19,7 @@ def _label_weights(psi, p, name):
     if p.n_spins != b.n_spins:
         raise ValueError(f"{name}: a {b.n_spins}-spin state for a "
                          f"{p.n_spins}-spin chain")
-    s = np.arange(b.dim) if b.states is None else b.states
-    return s, np.abs(psi.amplitudes) ** 2
+    return b.states, np.abs(psi.amplitudes) ** 2
 
 
 def magnetization_x(psi, p):

@@ -194,6 +194,7 @@ def run_sweep(spec):
     h = build_hamiltonian(p0, sector, spec.sweep)  # A + 1j B, H(x) = A + x B
     a, b = h.matrix.data.real.copy(), h.matrix.data.imag.copy()
     h.matrix.data = a.copy()  # contiguous float64, not a view of the complex
+    # only ARPACK reads v0; a dense solve at dim 1 (XXZ K0, M = 1) has no psi1
     warm = isinstance(sector, K0) and solver_path(h.dim, 2) == "arpack"
     points, v0 = [], None
     for x in grid:

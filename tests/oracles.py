@@ -53,6 +53,33 @@ def at_free_fermion(m_sites, beta):
     return -2 * r.sum(), m, m**2
 
 
+def binary_entropy(p):
+    """H2(p) = -p log2 p - (1 - p) log2(1 - p), elementwise; 0 log 0 := 0."""
+    q = np.clip(np.stack([p, 1 - np.asarray(p)]), 0.0, 1.0)
+    return -np.sum(q * np.log2(np.where(q > 0, q, 1.0)), axis=0)
+
+
+def xx_ring(m_sites, beta):
+    """(E0, quartet entropy) of the staggered XXZ chain at delta = 0: free
+    fermions on a ring of 2M sites with hoppings -2 and -2 beta, M of them
+    in SzFixed(M), where the wrap bond carries the extra sign (-1)^(M - 1).
+    E0 sums the M lowest levels; the entropy of sites 0..3 is the sum of
+    H2 over the eigenvalues of the correlation matrix restricted to them
+    (Peschel, J. Phys. A 36, L205 (2003))."""
+    n = 2 * m_sites
+    t = np.zeros((n, n))
+    for i in range(n):
+        j = (i + 1) % n
+        hop = -2.0 if i % 2 == 0 else -2.0 * beta
+        if j == 0:
+            hop *= (-1) ** (m_sites - 1)
+        t[i, j] += hop
+        t[j, i] += hop
+    w, v = np.linalg.eigh(t)
+    occ = v[:4, :m_sites]
+    return w[:m_sites].sum(), binary_entropy(np.linalg.eigvalsh(occ @ occ.T)).sum()
+
+
 def reduce_dense(psi, keep):
     """Unit-trace partial trace through the dense 2^n amplitude vector.
 

@@ -34,6 +34,15 @@ class TestBuildBasis:
             assert bin(s & 0b0101).count("1") % 2 == 0
             assert bin(s & 0b1010).count("1") % 2 == 0
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_sector_dim_is_closed_form(self, n):
+        # 2^n, 2^(n-2) and C(n, k), equal to the enumerated dimensions
+        for sector in (Full(), XParity(1, 1), XParity(-1, 1), *map(SzFixed, range(n + 1))):
+            frame = "x" if isinstance(sector, XParity) else "z"
+            assert basis.sector_dim(n, sector) == build_basis(n, sector, frame).dim
+        with pytest.raises(ValueError):
+            basis.sector_dim(n, K0(XParity(1, 1)))
+
     @pytest.mark.parametrize("sector", [Full(), SzFixed(3), XParity(-1, 1)])
     def test_deterministic_and_sorted(self, sector):
         a = build_basis(6, sector, frame="x" if isinstance(sector, XParity) else "z")
@@ -46,19 +55,6 @@ class TestBuildBasis:
         assert np.array_equal(b.index_of(b.states), np.arange(b.dim))
         with pytest.raises(KeyError):
             b.index_of([0])  # zero set bits, not in the sector
-
-    @pytest.mark.parametrize("label", [-1, 64])
-    def test_lookup_on_implicit_full_basis(self, label):
-        # expand_full leaves the labels of its Full basis implicit; rows and
-        # refusals match the explicit Full basis
-        sector = build_basis(6, SzFixed(5))
-        implicit = QuantumState(np.ones(sector.dim), sector).expand_full().basis
-        explicit = build_basis(6)
-        assert implicit.states is None
-        for b in (implicit, explicit):
-            assert np.array_equal(b.index_of([3, 0, 63]), [3, 0, 63])
-            with pytest.raises(KeyError):
-                b.index_of([5, label])
 
     @pytest.mark.parametrize("label", [7.9, 7.5, -1, 64, np.nan, np.inf])
     @pytest.mark.parametrize("sector,frame", [
@@ -184,8 +180,8 @@ class TestK0Basis:
         amps = np.random.default_rng(0).normal(size=b.dim)
         psi = QuantumState(amps / np.linalg.norm(amps), b)
         expanded = psi.expand_full()
-        # a Full basis whose labels stay implicit
-        assert expanded.basis.is_full() and expanded.basis.states is None
+        assert isinstance(expanded.basis.sector, Full)
+        assert np.array_equal(expanded.basis.states, np.arange(256))
         assert expanded.basis.dim == len(expanded.amplitudes) == 256
         assert expanded.norm == pytest.approx(1.0, abs=1e-12)
         full = expanded.amplitudes
@@ -261,7 +257,7 @@ class TestPauliString:
         # sigma^x leaves the magnetization sector: the result is a state
         # over all 16 labels, with the norm a unitary string keeps
         out = apply_pauli_string(pauli((0, "x")), psi)
-        assert out.basis.is_full() and len(out.amplitudes) == 16
+        assert isinstance(out.basis.sector, Full) and len(out.amplitudes) == 16
         assert out.norm == pytest.approx(psi.norm, abs=1e-12)
         assert np.allclose(out.amplitudes,
                            dense_op(pauli((0, "x")), 4)

@@ -120,10 +120,11 @@ class TestLanczos:
         w = np.linalg.eigvalsh(mat)
         assert np.allclose(res.energies, w[:2], atol=1e-9)
 
-    def test_convergence_error(self):
+    def test_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(eigensolve, "DEFAULT_MAX_ITER", 3)
         h = _DenseWrapper(random_sym(200, 7))
         with pytest.raises(ConvergenceError) as exc:
-            lanczos_ground(h, k=1, max_iter=3, tol=1e-12)
+            lanczos_ground(h, k=1, tol=1e-12)
         assert exc.value.best_residual > 0
 
     def test_arpack_error_becomes_convergence_error(self, monkeypatch):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import atxxz.basis as basis_mod
-from atxxz.basis import (K0, CapacityError, Full, QuantumState, SpinBasis,
-                         SzFixed, XParity, build_basis)
+from atxxz.basis import (K0, CapacityError, Full, QuantumState, SzFixed,
+                         XParity, build_basis)
 from atxxz.eigensolve import ground_state
 from atxxz.entanglement import (DensityMatrix, InvalidStateError, dsb,
                                 min_pt_eigenvalue, negativity,
@@ -69,9 +69,8 @@ class TestReduceState:
         rng = np.random.default_rng(n)
         keeps = [[0], [n - 1], [n - 1, 0], list(range(n))[::-1][:4]]
         keeps += [[int(s) for s in rng.permutation(n)[:3]] for _ in range(2)]
-        bases = [SpinBasis(n, None, Full()), build_basis(n, Full())]
-        bases += [build_basis(n, sector, frame) for sector, frame in (
-            (XParity(1, -1), "x"), (SzFixed(m_sites), "z"),
+        bases = [build_basis(n, sector, frame) for sector, frame in (
+            (Full(), "z"), (XParity(1, -1), "x"), (SzFixed(m_sites), "z"),
             (K0(XParity(1, 1)), "x"), (K0(SzFixed(m_sites)), "z"))]
         for b in bases:
             for amps in (rng.normal(size=b.dim),

@@ -122,12 +122,15 @@ class TestBuildHamiltonian:
     @pytest.mark.parametrize("model", [ASHKIN_TELLER, STAGGERED_XXZ])
     @pytest.mark.parametrize("m_sites", [1, 2, 3, 4])
     def test_build_on_earlier_basis(self, model, m_sites):
-        # H assembled on h.basis equals H built from the sector, bit for bit
+        # h.basis is no sector descriptor and is refused; a second build
+        # from the sector itself equals the first, bit for bit
         p = ModelParams(model, m_sites, delta=0.7, beta=1.2)
         q = replace(p, delta=-0.4, beta=-0.6)
         for sector in (Full(), ground_sector(p), K0(ground_sector(p))):
-            a = build_hamiltonian(q, sector).matrix
-            b = build_hamiltonian(q, build_hamiltonian(p, sector).basis).matrix
+            h = build_hamiltonian(p, sector)
+            with pytest.raises(ValueError, match="unknown sector descriptor"):
+                build_hamiltonian(q, h.basis)
+            a, b = (build_hamiltonian(q, sector).matrix for _ in range(2))
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(a, attr), getattr(b, attr))
 
@@ -154,14 +157,14 @@ class TestBuildHamiltonian:
                               - h1.data).max() <= 1e-14
 
     def test_misfit_basis_refused(self):
+        # a basis of another size or frame is refused as any basis is
         at = build_hamiltonian(ModelParams(ASHKIN_TELLER, 2), Full()).basis
-        with pytest.raises(ValueError, match="does not fit"):
-            build_hamiltonian(ModelParams(ASHKIN_TELLER, 3), at)
-        with pytest.raises(ValueError, match="does not fit"):
-            build_hamiltonian(ModelParams(STAGGERED_XXZ, 2), at)  # x frame
+        for p in (ModelParams(ASHKIN_TELLER, 3), ModelParams(STAGGERED_XXZ, 2)):
+            with pytest.raises(ValueError, match="unknown sector descriptor"):
+                build_hamiltonian(p, at)
         for sector in (Full(), SzFixed(2)):  # z-frame bases
             xxz = build_hamiltonian(ModelParams(STAGGERED_XXZ, 2), sector).basis
-            with pytest.raises(ValueError, match="does not fit"):
+            with pytest.raises(ValueError, match="unknown sector descriptor"):
                 build_hamiltonian(ModelParams(ASHKIN_TELLER, 2), xxz)
 
     @pytest.mark.parametrize("model", [ASHKIN_TELLER, STAGGERED_XXZ])

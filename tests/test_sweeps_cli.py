@@ -16,9 +16,11 @@ from atxxz.observables import (correlator_x, finite_difference,
                                magnetization_x)
 from atxxz.sweeps import (SweepSpec, figure_presets, read_csv, resolve_block,
                           run_sweep, write_csv)
+import atxxz.basis as basis_mod
 import atxxz.models as models_mod
 import atxxz.sweeps as sweeps_mod
-from oracles import at_free_fermion, series
+import atxxz.verify as verify_mod
+from oracles import at_free_fermion, binary_entropy, series, xx_ring
 
 
 def small_spec(**kw):
@@ -345,12 +347,29 @@ class TestRunSweep:
 class TestFreeFermionOracle:
     @pytest.mark.parametrize("m_sites", [4, 6, 8, 10, 12])
     def test_energy_m_and_g_at_delta_zero(self, m_sites):
+        # and the frontal-pair entropy: the two Ising chains decouple, so
+        # the pair is two spins of <x> = m each, 2 H2((1 + m) / 2)
         spec = small_spec(m_sites=m_sites, sweep="beta", start=0.5, stop=1.5,
-                          step=0.5, delta=0.0, quantities=("energy", "m", "g"))
+                          step=0.5, delta=0.0,
+                          quantities=("energy", "m", "g", "entropy"))
         result = run_sweep(spec)
         assert all(r.converged for r in result.rows)
         want = np.array([at_free_fermion(m_sites, b) for b in spec.grid()])
-        for i, q in enumerate(("energy", "m", "g")):
+        want = np.column_stack([want, 2 * binary_entropy((1 + want[:, 1]) / 2)])
+        for i, q in enumerate(("energy", "m", "g", "entropy")):
+            _, got = series(result, q)
+            assert np.abs(got - want[:, i]).max() <= 1e-12
+
+    @pytest.mark.parametrize("m_sites", range(4, 13))
+    def test_xx_ring_energy_and_quartet_entropy(self, m_sites):
+        # odd and even M: the wrap bond's sign (-1)^(M-1) takes both values
+        spec = small_spec(model=STAGGERED_XXZ, m_sites=m_sites, sweep="beta",
+                          start=0.5, stop=1.5, step=0.5, delta=0.0,
+                          block="quartet", quantities=("energy", "entropy"))
+        result = run_sweep(spec)
+        assert all(r.converged for r in result.rows)
+        want = np.array([xx_ring(m_sites, b) for b in spec.grid()])
+        for i, q in enumerate(("energy", "entropy")):
             _, got = series(result, q)
             assert np.abs(got - want[:, i]).max() <= 1e-12
 
@@ -539,7 +558,7 @@ class TestCli:
         assert len(calls) == 3
 
     def test_spectrum(self, capsys, monkeypatch):
-        # one basis serves the capacity refusal and the build
+        # the capacity check enumerates no basis; the build enumerates one
         bases = []
         for module in (cli, models_mod):
             def counted(*args, real=module.build_basis, **kw):
@@ -574,19 +593,47 @@ class TestCli:
 
     def test_spectrum_refuses_levels_beyond_dense_limit(self, capsys,
                                                         monkeypatch):
-        # three levels need the dense solver; both dimensions exceed its
-        # limit, and the refusal comes before any Hamiltonian entry
-        calls = []
-        monkeypatch.setattr(kernels, "at_entries", lambda *a: calls.append(a))
-        for m, dim in ((8, 16384), (10, 262144)):
-            code = cli.main(["spectrum", "--model", "at", "--m-sites", str(m),
-                             "--levels", "3"])
+        # three levels need the dense solver; every dimension exceeds its
+        # limit, and the refusal takes the sector's closed-form dimension,
+        # so no basis is enumerated (the full 28-spin one holds 2 GiB)
+        bases = []
+
+        def refuse(*args, **kw):
+            bases.append(args)
+            raise AssertionError("basis enumerated")
+        for module in (cli, models_mod, basis_mod):
+            monkeypatch.setattr(module, "build_basis", refuse)
+        for argv, dim in ((["--m-sites", "8"], 16384),
+                          (["--m-sites", "10"], 262144),
+                          (["--sector", "full", "--m-sites", "14"], 1 << 28)):
+            code = cli.main(["spectrum", "--model", "at", *argv, "--levels", "3"])
             assert code == cli.EXIT_ARGUMENT
             assert f"dimension {dim} > 4096" in capsys.readouterr().err
-        assert calls == []
+        assert bases == []
+
+    def test_out_of_wrong_kind_refused_before_any_solve(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # a directory where a file goes, or a file where a directory goes,
+        # exits 1 with a message, not a traceback after the sweep
+        solves = []
+        for module in (cli, sweeps_mod, verify_mod):
+            monkeypatch.setattr(module, "ground_state",
+                                lambda *a, **k: solves.append(a))
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        sweep = ["sweep", "--m-sites", "2", "--range", "0.5:0.6:0.1", "--out"]
+        for argv in (["--config", str(tmp_path), "info"],
+                     ["verify", "energy", "--m", "2", "--out", str(tmp_path)],
+                     [*sweep, str(tmp_path)], [*sweep, str(plain / "s.csv")],
+                     ["figure", "fig4", "--out", str(plain)],
+                     ["figure", "fig4", "--out", str(plain / "figs")]):
+            assert cli.main(argv) == cli.EXIT_ARGUMENT
+            assert capsys.readouterr().err.startswith("error:")
+        assert solves == []
+        assert sorted(tmp_path.iterdir()) == [plain]
 
     def test_verify_ok(self, tmp_path, capsys):
-        report = tmp_path / "report.txt"
+        report = tmp_path / "new" / "report.txt"  # the directory is made
         code = cli.main(["verify", "link-algebra", "energy", "--m", "2",
                          "--out", str(report)])
         assert code == 0
