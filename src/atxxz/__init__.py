@@ -4,7 +4,7 @@ and staggered XXZ spin-1/2 chains."""
 __version__ = "0.1.0"
 
 from .basis import (Full, K0, SzFixed, XParity, SpinBasis, QuantumState,
-                    PauliString, pauli, build_basis, apply_pauli_string,
+                    PauliString, pauli, build_basis, pauli_action,
                     expectation)
 from .models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
                      SparseHamiltonian, build_hamiltonian,

@@ -10,9 +10,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-MAX_SPINS = 28  # one dense state vector stays under 8 GB
+# a Full basis's 2^28 int64 labels take 2 GiB; _smallest_image is exact to
+# 32 spins
+MAX_SPINS = 28
 
 # parent rows per chunk of K0 image temporaries, and amplitudes per slice of
 # a partial trace; a power of two
@@ -265,28 +266,8 @@ class QuantumState:
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
 
-    def expand_full(self):
-        """The same state over all 2^n labels, zero outside its sector.
-
-        A K0 state gives each parent label s the amplitude c_r / sqrt(N_r),
-        with r the orbit of s and N_r its size, in one gather and one scatter.
-        """
-        b = self.basis
-        amps, labels = self.amplitudes, b.states
-        if b.parent is not None:
-            amps, labels = (amps / np.sqrt(b.sizes))[b.orbit], b.parent.states
-        full = build_basis(b.n_spins, Full(), b.frame)
-        out = np.zeros(full.dim, dtype=amps.dtype)
-        out[labels] = amps
-        return QuantumState(out, full)
-
 
 # --- Pauli strings --------------------------------------------------------
-
-_PAULI = {"x": sp.csr_array([[0.0, 1.0], [1.0, 0.0]]),
-          "y": sp.csr_array([[0.0, -1.0j], [1.0j, 0.0]]),
-          "z": sp.csr_array([[1.0, 0.0], [0.0, -1.0]])}
-
 
 @dataclass(frozen=True)
 class PauliString:
@@ -300,39 +281,28 @@ class PauliString:
         if len(set(sites)) != len(sites):
             raise ValueError("repeated site in Pauli string")
         for s, ax in self.terms:
+            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+                raise ValueError(f"site {s!r} is not an integer")
             if s < 0:
                 raise ValueError(f"negative site index {s}")
-            if ax not in _PAULI:
+            if ax not in ("x", "y", "z"):
                 raise ValueError(f"unknown axis {ax!r}")
 
-    def matrix(self, n_spins):
-        """The 2^n x 2^n CSR matrix of the string, coefficient included.
-
-        Site 0 is the lowest label bit, so it is the last factor of the
-        Kronecker product. Real for x/z strings with a real coefficient.
-        """
-        ops = dict(self.terms)
-        if any(s >= n_spins for s in ops):
-            raise ValueError(f"site {max(ops)} out of range for {n_spins} spins")
-        out = sp.csr_array([[self.coefficient]])
-        for s in reversed(range(n_spins)):
-            out = sp.kron(out, _PAULI[ops[s]] if s in ops else sp.eye_array(2),
-                          format="csr")
-        return out
-
-    def x_frame(self):
-        """Hadamard-conjugated string: x <-> z, y -> -y."""
-        terms = []
-        sign = 1.0
+    def masks(self, n_spins):
+        """(x, z, phase) such that the string is phase * X^x Z^z, with bit i
+        of each mask for site i and Y = iXZ; the coefficient is in the phase.
+        This is the binary symplectic form of Aaronson and Gottesman, Phys.
+        Rev. A 70, 052328 (2004)."""
+        x = z = 0
+        phase = self.coefficient
         for s, ax in self.terms:
-            if ax == "x":
-                terms.append((s, "z"))
-            elif ax == "z":
-                terms.append((s, "x"))
-            else:
-                terms.append((s, "y"))
-                sign = -sign
-        return PauliString(tuple(terms), self.coefficient * sign)
+            if s >= n_spins:
+                raise ValueError(f"site {s} out of range for {n_spins} spins")
+            x |= (ax != "z") << int(s)
+            z |= (ax != "x") << int(s)
+            if ax == "y":
+                phase *= 1j
+        return x, z, phase
 
 
 def pauli(*site_axis_pairs, coefficient=1.0):
@@ -340,26 +310,42 @@ def pauli(*site_axis_pairs, coefficient=1.0):
     return PauliString(tuple(site_axis_pairs), coefficient)
 
 
-def apply_pauli_string(string, psi):
-    """Apply a Pauli string to a state (unnormalized result).
+def pauli_action(psi, *strings):
+    """The product P = phase X^x Z^z of the strings, applied first to last,
+    on the labels s of psi's sector (a K0 state: c / sqrt(N) on its parent's).
 
-    The string is interpreted in the physical (z) frame; if the state lives
-    in the x frame it is conjugated accordingly before acting. A sector
-    state is expanded to all 2^n labels first, and the result is a state
-    over those labels, since a string may map it out of its sector.
+    Returns the moved amplitudes phase (-1)^|s & z| psi(s), which land on
+    s ^ x; psi(s ^ x), zero outside the sector; and psi's weight on the
+    labels P moves out of it. The strings are physical-frame: in the x frame
+    each spin is Hadamard rotated, which swaps the masks at a sign.
     """
-    if psi.basis.frame == "x":
-        string = string.x_frame()
-    psi = psi.expand_full()
-    return QuantumState(string.matrix(psi.basis.n_spins) @ psi.amplitudes,
-                        psi.basis)
+    b = psi.basis
+    x = z = 0
+    phase = 1.0
+    for string in strings:
+        xs, zs, ps = string.masks(b.n_spins)
+        # X^xs Z^zs X^x Z^z = (-1)^|zs & x| X^(xs ^ x) Z^(zs ^ z)
+        phase *= ps * (-1) ** (zs & x).bit_count()
+        x, z = x ^ xs, z ^ zs
+    if b.frame == "x":
+        phase *= (-1) ** (x & z).bit_count()
+        x, z = z, x
+    amps, labels = psi.amplitudes, b.states
+    if b.parent is not None:
+        amps, labels = (amps / np.sqrt(b.sizes))[b.orbit], b.parent.states
+        b = b.parent
+    moved = phase * np.where(np.bitwise_count(labels & z) & 1, -amps, amps)
+    labels = labels ^ x
+    rows = b.rank(labels)
+    inside = np.take(b.states, rows, mode="clip") == labels
+    target = np.where(inside, np.take(amps, rows, mode="clip"), 0)
+    return moved, target, float(np.sum(np.abs(amps[~inside]) ** 2))
 
 
 def expectation(psi, string):
     """<psi| string |psi> for a normalized state; must be real."""
-    psi = psi.expand_full()
-    spsi = apply_pauli_string(string, psi)
-    val = np.vdot(psi.amplitudes, spsi.amplitudes)
+    moved, target, _ = pauli_action(psi, string)
+    val = np.vdot(target, moved)
     if abs(np.imag(val)) > 1e-10:
         raise ValueError(f"non-real expectation value {val} (non-Hermitian string?)")
     return float(np.real(val))

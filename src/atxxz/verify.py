@@ -5,18 +5,20 @@ so a suite can run to completion and aggregate.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .basis import Full, apply_pauli_string, expectation, pauli
+from .basis import MAX_SPINS, Full, expectation, pauli, pauli_action
 from .models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
                      build_hamiltonian, ground_sector, link_variable)
 from .eigensolve import dense_spectrum, ground_state
 from .entanglement import reduce_state, von_neumann
 
-# suite name -> largest M its dense checks accept, in report order
-SUITE_MAX_M = {"link-algebra": 4, "constraints": 6, "energy": 7,
-               "density": 6, "spectral-inclusion": 3}
+# suite name -> largest M it accepts, in report order: ground-sector solves
+# bound constraints, energy and density, a dense full-space one the last
+SUITE_MAX_M = {"link-algebra": MAX_SPINS // 2, "constraints": 10, "energy": 10,
+               "density": 10, "spectral-inclusion": 3}
 
 
 @dataclass
@@ -52,41 +54,26 @@ def _check_size(suite, m_sites):
         raise ValueError(f"{suite} check limited to m_sites <= {SUITE_MAX_M[suite]}")
 
 
-def _anticommuting_pair(j, k, two_m):
-    """Whether eta/gamma indices j, k (1-based) are algebra neighbors."""
-    return abs(j - k) == 1 or {j, k} == {1, two_m}
-
-
 def check_link_algebra(model, m_sites, variables=None):
-    """Squares-to-identity plus all (anti)commutation cases, dense."""
+    """Squares to the identity and every (anti)commutation case, read from
+    the masks: phase X^x Z^z squares to phase^2 (-1)^|x & z|, and two strings
+    anticommute when |x_a & z_b| + |z_a & x_b| is odd. A deviation is the
+    largest entry the dense P^2 - 1, AB - BA or AB + BA would have."""
     _check_size("link-algebra", m_sites)
     p = ModelParams(model, m_sites)
-    n = p.n_spins
     two_m = 2 * m_sites
     if variables is None:
         variables = {(kind, i): link_variable(kind, i, p)
                      for kind in ("eta", "gamma") for i in range(1, two_m + 1)}
-    dense = {key: s.matrix(n).toarray() for key, s in variables.items()}
-    eye = np.eye(1 << n)
-
-    dev = 0.0
-    for key, mat in dense.items():
-        dev = max(dev, np.abs(mat @ mat - eye).max())
-    for j in range(1, two_m + 1):
-        for k in range(1, two_m + 1):
-            # eta and gamma always commute
-            c = dense[("eta", j)] @ dense[("gamma", k)] - \
-                dense[("gamma", k)] @ dense[("eta", j)]
-            dev = max(dev, np.abs(c).max())
-    for kind in ("eta", "gamma"):
-        for j in range(1, two_m + 1):
-            for k in range(j + 1, two_m + 1):
-                a, b = dense[(kind, j)], dense[(kind, k)]
-                if _anticommuting_pair(j, k, two_m):
-                    dev = max(dev, np.abs(a @ b + b @ a).max())
-                else:
-                    dev = max(dev, np.abs(a @ b - b @ a).max())
-    return VerificationReport("link-algebra", n, {"model": model}, dev, 1e-12)
+    masks = {key: s.masks(p.n_spins) for key, s in variables.items()}
+    dev = max(abs(ph * ph * (-1) ** (x & z).bit_count() - 1)
+              for x, z, ph in masks.values())
+    for ((ka, j), a), ((kb, k), b) in combinations(masks.items(), 2):
+        # eta and gamma always commute; so do algebra non-neighbours
+        anti = ka == kb and (abs(j - k) == 1 or {j, k} == {1, two_m})
+        if ((a[0] & b[1]).bit_count() + (a[1] & b[0]).bit_count()) % 2 != anti:
+            dev = max(dev, 2 * abs(a[2] * b[2]))
+    return VerificationReport("link-algebra", p.n_spins, {"model": model}, dev, 1e-12)
 
 
 def _solved_ground(p):
@@ -124,14 +111,13 @@ def check_constraints_on_ground_state(p, state=None):
             "Q_y": [pauli((b, "y")) for b in range(two_m)],
         }
 
-    reference = state.expand_full().amplitudes
     dev = 0.0
     details = []
     for name, factors in products.items():
-        phi = state
-        for f in factors:
-            phi = apply_pauli_string(f, phi)
-        d = float(np.linalg.norm(phi.amplitudes - reference))
+        # |P psi - psi|^2: |moved - target|^2 on every label of P psi, plus
+        # psi's weight where P psi is 0, on the labels P moves out
+        moved, target, left = pauli_action(state, *factors)
+        d = float(np.sqrt(np.linalg.norm(moved - target) ** 2 + left))
         details.append(f"{name}: {d:.2e}")
         dev = max(dev, d)
     return VerificationReport(

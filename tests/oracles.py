@@ -23,6 +23,31 @@ def dense_op(string, n):
     return string.coefficient * out
 
 
+def expand_full(psi):
+    """The state's 2^n amplitudes, zero outside its sector, by one gather
+    and one scatter. A K0 state gives each parent label the amplitude
+    c_r / sqrt(N_r) of its orbit r, with N_r the orbit size."""
+    b = psi.basis
+    amps, labels = psi.amplitudes, b.states
+    if b.parent is not None:
+        amps, labels = (amps / np.sqrt(b.sizes))[b.orbit], b.parent.states
+    out = np.zeros(1 << b.n_spins, dtype=amps.dtype)
+    out[labels] = amps
+    return out
+
+
+def dense_in_frame(string, n, frame):
+    """dense_op of a physical-frame string, written in the labels of a basis
+    of the given frame: conjugated by a Hadamard on every spin in "x"."""
+    op = dense_op(string, n)
+    if frame == "z":
+        return op
+    had = np.array([[1.0]])
+    for _ in range(n):
+        had = np.kron(had, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2))
+    return had @ op @ had
+
+
 def validate_density_matrix(rho):
     """Raise InvalidStateError unless rho is unit-trace, Hermitian and PSD."""
     tr = np.trace(rho.matrix)
@@ -87,7 +112,7 @@ def reduce_dense(psi, keep):
     the front in reversed order, so keep[0] is rho's least significant bit.
     """
     n = psi.basis.n_spins
-    tens = psi.expand_full().amplitudes.reshape((2,) * n)
+    tens = expand_full(psi).reshape((2,) * n)
     tens = np.moveaxis(tens, [n - 1 - s for s in reversed(keep)], range(len(keep)))
     mat = tens.reshape(1 << len(keep), -1)
     rho = mat @ mat.conj().T

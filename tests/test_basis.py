@@ -3,11 +3,11 @@ import pytest
 
 from atxxz import basis
 from atxxz.basis import (CapacityError, Full, K0, PauliString, QuantumState,
-                         SzFixed, XParity, apply_pauli_string, build_basis,
-                         expectation, pauli, popcount)
+                         SzFixed, XParity, build_basis, expectation, pauli,
+                         pauli_action, popcount)
 from atxxz.eigensolve import ground_state
 from atxxz.models import STAGGERED_XXZ, ModelParams, build_hamiltonian
-from oracles import dense_op, k0_by_search
+from oracles import dense_op, expand_full, k0_by_search
 
 
 def basis_state(label, n, frame="z"):
@@ -179,18 +179,16 @@ class TestK0Basis:
         b = build_basis(8, K0(XParity(1, 1)), frame="x")
         amps = np.random.default_rng(0).normal(size=b.dim)
         psi = QuantumState(amps / np.linalg.norm(amps), b)
-        expanded = psi.expand_full()
-        assert isinstance(expanded.basis.sector, Full)
-        assert np.array_equal(expanded.basis.states, np.arange(256))
-        assert expanded.basis.dim == len(expanded.amplitudes) == 256
-        assert expanded.norm == pytest.approx(1.0, abs=1e-12)
-        full = expanded.amplitudes
+        full = expand_full(psi)
+        assert len(full) == 256
+        assert np.linalg.norm(full) == pytest.approx(1.0, abs=1e-12)
         for row, rep in enumerate(b.states):
             orbit = sorted(symmetry_orbit(int(rep), 8, True))
             assert np.allclose(full[orbit], amps[row] / np.linalg.norm(amps)
                                / np.sqrt(len(orbit)), atol=1e-14)
         assert not full[np.setdiff1d(np.arange(256), b.parent.states)].any()
-        # Pauli strings act on the expanded state
+        # Pauli strings read the K0 state as its expansion
+        expanded = QuantumState(full, build_basis(8, Full(), frame="x"))
         assert expectation(psi, pauli((0, "z"), (2, "z"))) == pytest.approx(
             expectation(expanded, pauli((0, "z"), (2, "z"))), abs=1e-14)
 
@@ -204,23 +202,36 @@ class TestPauliString:
         with pytest.raises(ValueError):
             PauliString(((0, "w"),))
 
+    def test_non_integral_site_rejected(self):
+        # a site that is not an integer once matched no bit and acted as
+        # the identity: <Z_0> on (|01> + |10>)/sqrt(2) read 1.0, not 0
+        for site in (0.5, 1.0, True, "0", None):
+            with pytest.raises(ValueError, match="not an integer"):
+                pauli((site, "z"))
+        psi = QuantumState(np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2),
+                           build_basis(2))
+        assert expectation(psi, pauli((np.int64(0), "z"))) == pytest.approx(0.0)
+
     def test_sigma_z_on_up(self):
-        psi = basis_state(0, 1)
-        out = apply_pauli_string(pauli((0, "z")), psi)
-        assert np.allclose(out.amplitudes, psi.amplitudes)
+        moved, target, left = pauli_action(basis_state(0, 1), pauli((0, "z")))
+        assert np.array_equal(moved, [1.0, 0.0])
+        assert np.array_equal(target, [1.0, 0.0]) and left == 0.0
 
     def test_sigma_x_flips(self):
-        psi = basis_state(0, 1)
-        out = apply_pauli_string(pauli((0, "x")), psi)
-        assert np.allclose(out.amplitudes, [0.0, 1.0])
+        # label s goes to s ^ 1: the amplitude of |0> lands on |1>, where
+        # the state has none
+        moved, target, _ = pauli_action(basis_state(0, 1), pauli((0, "x")))
+        assert np.array_equal(moved, [1.0, 0.0])
+        assert np.array_equal(target, [0.0, 1.0])
 
     def test_yy_on_01_matches_dense(self):
-        # |01> means bit 0 set: label 1 on two spins
+        # |01> means bit 0 set: label 1 on two spins; YY sends it to label 2
         s = pauli((0, "y"), (1, "y"))
         psi = basis_state(1, 2)
-        out = apply_pauli_string(s, psi)
-        expected = dense_op(s, 2) @ psi.amplitudes
-        assert np.allclose(out.amplitudes, expected)
+        moved, _, _ = pauli_action(psi, s)
+        out = np.zeros(4, dtype=complex)
+        out[np.arange(4) ^ 3] = moved
+        assert np.allclose(out, dense_op(s, 2) @ psi.amplitudes)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_dense_oracle_random(self, seed):
@@ -231,8 +242,11 @@ class TestPauliString:
         string = PauliString(terms, coefficient=complex(rng.normal(), rng.normal()))
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         psi = QuantumState(amps, build_basis(n))
-        out = apply_pauli_string(string, psi)
-        assert np.allclose(out.amplitudes, dense_op(string, n) @ amps, atol=1e-12)
+        moved, target, left = pauli_action(psi, string)
+        dense = dense_op(string, n) @ amps
+        assert np.vdot(target, moved) == pytest.approx(np.vdot(amps, dense),
+                                                       abs=1e-12)
+        assert left == 0.0
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_involution(self, axis):
@@ -240,28 +254,16 @@ class TestPauliString:
         amps = rng.normal(size=8)
         psi = QuantumState(amps.astype(complex), build_basis(3))
         s = pauli((1, axis))
-        out = apply_pauli_string(s, apply_pauli_string(s, psi))
-        assert np.allclose(out.amplitudes, psi.amplitudes, atol=1e-12)
+        moved, target, left = pauli_action(psi, s, s)
+        assert np.allclose(moved, psi.amplitudes, atol=1e-12)
+        assert np.allclose(target, psi.amplitudes, atol=1e-12) and left == 0.0
 
     def test_norm_preservation(self):
         rng = np.random.default_rng(3)
         amps = rng.normal(size=16)
         psi = QuantumState(amps, build_basis(4))
-        out = apply_pauli_string(pauli((0, "x"), (2, "z")), psi)
-        assert out.norm == pytest.approx(psi.norm, abs=1e-12)
-
-    def test_sector_state_maps_to_full_basis(self):
-        b = build_basis(4, SzFixed(2))
-        rng = np.random.default_rng(0)
-        psi = QuantumState(rng.normal(size=b.dim), b)
-        # sigma^x leaves the magnetization sector: the result is a state
-        # over all 16 labels, with the norm a unitary string keeps
-        out = apply_pauli_string(pauli((0, "x")), psi)
-        assert isinstance(out.basis.sector, Full) and len(out.amplitudes) == 16
-        assert out.norm == pytest.approx(psi.norm, abs=1e-12)
-        assert np.allclose(out.amplitudes,
-                           dense_op(pauli((0, "x")), 4)
-                           @ psi.expand_full().amplitudes, atol=1e-12)
+        moved, _, _ = pauli_action(psi, pauli((0, "x"), (2, "z")))
+        assert np.linalg.norm(moved) == pytest.approx(psi.norm, abs=1e-12)
 
     def test_x_frame_conjugation(self):
         # in the x frame, label 0 is the all-(sigma^x=+1) state
@@ -291,7 +293,8 @@ class TestExpectation:
         sz = ground_state(build_hamiltonian(p, SzFixed(3))).ground_state
         k0 = ground_state(build_hamiltonian(p, K0(SzFixed(3)))).ground_state
         xx = pauli((0, "x"), (1, "x"))
-        want = expectation(sz.expand_full(), xx)
+        full = expand_full(sz)
+        want = np.vdot(full, dense_op(xx, 6) @ full).real
         assert want == pytest.approx(0.62283903060711, abs=1e-12)
         assert expectation(sz, xx) == pytest.approx(want, abs=1e-14)
         assert expectation(k0, xx) == pytest.approx(want, abs=1e-14)

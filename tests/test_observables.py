@@ -75,10 +75,8 @@ class TestMagnetization:
                              for s in range(p.n_spins)])
                 g = np.mean([expectation(psi, pauli((2 * j, "x"), (2 * j + 1, "x")))
                              for j in range(m_sites)])
-                # expand_full leaves its labels implicit
-                for state in (psi, psi.expand_full()):
-                    assert abs(magnetization_x(state, p) - m) <= 1e-12
-                    assert abs(correlator_x(state, p) - g) <= 1e-12
+                assert abs(magnetization_x(psi, p) - m) <= 1e-12
+                assert abs(correlator_x(psi, p) - g) <= 1e-12
 
 
 class TestFiniteDifference:

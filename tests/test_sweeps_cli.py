@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from atxxz import cli, kernels
-from atxxz.basis import (K0, CapacityError, QuantumState, SpinBasis, SzFixed,
-                         XParity)
+from atxxz.basis import K0, CapacityError, SpinBasis, SzFixed, XParity
 from atxxz.eigensolve import ConvergenceError, ground_state
 from atxxz.entanglement import (InvalidStateError, negativity, reduce_state,
                                 von_neumann)
@@ -198,18 +197,6 @@ class TestRunSweep:
         assert [r.converged for r in result.rows] == [True, False, True] * 2
         assert all(np.isnan(r.value) != r.converged for r in result.rows)
         assert "delta=0.6" in caplog.text and "InvalidStateError" in caplog.text
-
-    @pytest.mark.parametrize("start", [0.5, -0.3])  # K0 and ground sector
-    def test_no_sweep_expands(self, monkeypatch, start):
-        # the partial trace and m, g read the state's own labels
-        calls = []
-        real = QuantumState.expand_full
-        monkeypatch.setattr(QuantumState, "expand_full",
-                            lambda psi: calls.append(psi) or real(psi))
-        for quantities in (("energy", "m", "g"), ("entropy", "negativity")):
-            spec = small_spec(start=start, quantities=quantities)
-            assert all(r.converged for r in run_sweep(spec).rows)
-        assert calls == []
 
     @pytest.mark.parametrize("m_sites", [1, 2, 3])
     @pytest.mark.parametrize("sweep", ["delta", "beta"])
