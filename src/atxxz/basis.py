@@ -11,12 +11,12 @@ from typing import Optional
 
 import numpy as np
 
-# a Full basis's 2^28 int64 labels take 2 GiB; _smallest_image is exact to
-# 32 spins
+# a Full basis's 2^28 int64 labels take 2 GiB; _images is exact to 32 spins
 MAX_SPINS = 28
 
-# parent rows per chunk of K0 image temporaries, and amplitudes per slice of
-# a partial trace; a power of two
+# labels per chunk of a basis enumeration, terms per chunk of columns of a
+# Hamiltonian build, and amplitudes per slice of a partial trace; a power of
+# two
 _CHUNK = 1 << 16
 
 # bit-reversed value of each byte
@@ -159,12 +159,15 @@ def build_basis(n_spins, sector=Full(), frame="z"):
     if n_spins % 2:
         raise ValueError("XParity sectors need an even number of spins")
     # the label (r << 2) | b0 | b1 << 1, with sigma bit 0 and tau bit 1 set
-    # so that the sigma and tau parities come out as asked
-    r = np.arange(1 << (n_spins - 2), dtype=np.int64)
+    # so that the sigma and tau parities come out as asked; written over
+    # chunks of ranks r, so no other array is as long as the labels
     even = sum(1 << i for i in range(0, n_spins - 2, 2))
-    b0 = (np.bitwise_count(r & even) & 1) ^ (sector.p1 == -1)
-    b1 = (np.bitwise_count(r & (even << 1)) & 1) ^ (sector.p2 == -1)
-    states = (r << 2) | b0 | (b1 << 1)
+    states = np.empty(1 << (n_spins - 2), dtype=np.int64)
+    for lo in range(0, len(states), _CHUNK):
+        r = np.arange(lo, min(lo + _CHUNK, len(states)), dtype=np.int64)
+        b0 = (np.bitwise_count(r & even) & 1) ^ (sector.p1 == -1)
+        b1 = (np.bitwise_count(r & (even << 1)) & 1) ^ (sector.p2 == -1)
+        states[lo:lo + len(r)] = (r << 2) | b0 | (b1 << 1)
     return SpinBasis(n_spins, states, sector, frame)
 
 
@@ -191,8 +194,16 @@ def _sz_basis(n_spins, sector, frame):
     need = np.where(fits, need, 0)
     count = np.where(fits, size[need], 0)
     hi_off = np.cumsum(count) - count
-    rows = np.arange(count.sum()) + np.repeat(start[need] - hi_off, count)
-    states = np.repeat(hi << half, count) | by_pc[rows]
+    states = np.empty(hi_off[-1] + count[-1], dtype=np.int64)
+    # chunks of whole high parts, each starting at a multiple of _CHUNK
+    # labels, so that no other array is as long as the labels
+    cuts = np.unique(np.append(
+        np.searchsorted(hi_off, np.arange(0, len(states), _CHUNK)), len(hi)))
+    for h0, h1 in zip(cuts[:-1], cuts[1:]):
+        c, off = count[h0:h1], hi_off[h0:h1] - hi_off[h0]
+        rows = np.arange(c.sum()) + np.repeat(start[need[h0:h1]] - off, c)
+        states[hi_off[h0]:hi_off[h0] + len(rows)] = (
+            np.repeat(hi[h0:h1] << half, c) | by_pc[rows])
     return SpinBasis(n_spins, states, sector, frame, lin=(hi_off, lo_rank))
 
 
@@ -207,32 +218,42 @@ def _k0_basis(n_spins, sector, frame):
         exchange = lambda s: s ^ ones
     else:
         raise ValueError(f"K0 refines XParity(p, p) or SzFixed(n/2), not {sector.parent!r}")
-    # orbit is allocated ahead of the temporaries, and the images are formed
-    # over chunks of parent rows, so freed temporaries neither stay pinned
-    # below a kept array nor grow glibc's mmap threshold to parent size.
-    # With 2^16-row chunks, orbit allocated after them raises the peak RSS
-    # of the 20-spin AT K0 build from 84.4 to 85.6 MiB
-    orbit = np.empty(parent.dim, dtype=np.int64)
-    rep = np.empty(parent.dim, dtype=np.uint32)
+    # one pass over chunks of parent rows, in order. The smallest image of a
+    # label is a representative, at the label's own row or an earlier one:
+    # a representative's row takes the next orbit number, by an int32 cumsum
+    # over the chunk, and every other row copies its representative's. So
+    # orbit (int32) is the only array as long as the parent's labels
+    orbit = np.empty(parent.dim, dtype=np.int32)
+    reps, done = [], 0
     for lo in range(0, parent.dim, _CHUNK):
-        rep[lo:lo + _CHUNK] = _smallest_image(parent.states[lo:lo + _CHUNK],
-                                              n_spins, exchange)
-    # the parent labels are sorted, and each orbit's smallest label is one:
-    # the orbit of a label is the number of representatives up to its own
-    is_rep = rep == parent.states
-    states = parent.states[is_rep]
-    np.take(np.cumsum(is_rep) - 1, parent.rank(rep), out=orbit)
-    sizes = np.bincount(orbit, minlength=len(states))
+        labels = parent.states[lo:lo + _CHUNK]
+        chunk = slice(lo, lo + len(labels))
+        s = labels.astype(np.uint32)
+        rep = s.copy()
+        for image in _images(s, n_spins, exchange):
+            np.minimum(rep, image, out=rep)
+        rows = parent.rank(rep)
+        is_rep = rows == np.arange(chunk.start, chunk.stop)
+        orbit[chunk] = np.cumsum(is_rep, dtype=np.int32) + (done - 1)
+        orbit[chunk] = orbit[rows]
+        reps.append(labels[is_rep])
+        done += len(reps[-1])
+    states = np.concatenate(reps)
+    # orbit-stabilizer: an orbit has 2n labels over the number of the 4M = 2n
+    # symmetries that fix its representative
+    s = states.astype(np.uint32)
+    fixed = sum(image == s for image in _images(s, n_spins, exchange))
+    sizes = 2 * n_spins // fixed
     return SpinBasis(n_spins, states, sector, frame, parent, orbit, sizes)
 
 
-def _smallest_image(s, n_spins, exchange):
-    """Smallest label over every rotation by two bits of s, its mirror image
-    and their exchanged images.
+def _images(s, n_spins, exchange):
+    """Yield the image of the uint32 labels s under each of the 4M symmetries:
+    every rotation by two bits of s, its mirror image and their exchanged
+    images. Each image is yielded in the same reused array.
 
     Works in uint32, exact up to 32 spins (MAX_SPINS = 28).
     """
-    s = s.astype(np.uint32)
     ones = np.uint32((1 << n_spins) - 1)
     # reflection: reverse the bytes of the label, each through the table,
     # then drop the padding bits above n_spins
@@ -241,7 +262,6 @@ def _smallest_image(s, n_spins, exchange):
     for j in range(n_bytes):
         mirror |= _REVERSED_BYTE[(s >> (8 * j)) & 255] << (8 * (n_bytes - 1 - j))
     mirror >>= 8 * n_bytes - n_spins
-    rep = s.copy()
     rot, low = np.empty_like(s), np.empty_like(s)
     for image in (s, exchange(s), mirror, exchange(mirror)):
         for t in range(0, n_spins, 2):
@@ -249,8 +269,7 @@ def _smallest_image(s, n_spins, exchange):
             np.bitwise_and(rot, ones, out=rot)
             np.right_shift(image, n_spins - t, out=low)
             np.bitwise_or(rot, low, out=rot)
-            np.minimum(rep, rot, out=rep)
-    return rep
+            yield rot
 
 
 # --- states ---------------------------------------------------------------

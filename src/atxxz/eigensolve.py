@@ -10,9 +10,10 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from .basis import CapacityError, QuantumState
 
 DENSE_LIMIT = 4096
-# ground_state solves densely up to this dimension, above it with ARPACK;
-# with the dense subset solve the measured crossover lies between dim 155
-# (dense faster) and dim 256 (ARPACK faster)
+# ground_state solves densely up to this dimension, above it with ARPACK.
+# A cold single solve is faster dense at dim 155, but inside a warm-started
+# K0 sweep ARPACK already wins at dim 181 (fig6's M = 7 sweep, 41 points:
+# median 89 ms at this cutoff against 104 ms dense, 2 vCPUs)
 DENSE_CUTOFF = 128
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1000

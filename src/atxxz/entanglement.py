@@ -52,17 +52,18 @@ def reduce_state(psi, keep):
     if b.parent is not None:
         amps, labels = amps / np.sqrt(b.sizes), b.parent.states
     edges = np.searchsorted(labels, np.arange((1 << (n - low)) + 1) << low)
-    buf = np.empty(1 << low, amps.dtype)
+    buf = np.zeros(1 << low, amps.dtype)
     rho = np.zeros((1 << k, 1 << k), dtype=amps.dtype)
     # bit s of a label is axis low-1-s of the slice tensor; the kept axes go
     # to the front in reversed order, so keep[0] is rho's least significant bit
     axes = [low - 1 - s for s in reversed(keep)]
+    written = slice(0)  # the entries the last slice wrote, zeroed before the next
     for lo, hi in zip(edges[:-1], edges[1:]):
         if lo == hi:
             continue
-        buf.fill(0)
-        buf[labels[lo:hi] & ((1 << low) - 1)] = (
-            amps[lo:hi] if b.parent is None else amps[b.orbit[lo:hi]])
+        buf[written] = 0
+        written = labels[lo:hi] & ((1 << low) - 1)
+        buf[written] = amps[lo:hi] if b.parent is None else amps[b.orbit[lo:hi]]
         tens = np.moveaxis(buf.reshape((2,) * low), axes, range(k))
         mat = tens.reshape(1 << k, -1)
         rho += mat @ mat.conj().T

@@ -10,12 +10,13 @@ Site conventions (n = 2M spins in both models):
 """
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .basis import Full, K0, SzFixed, XParity, SpinBasis, PauliString, build_basis
-from . import kernels
+from . import basis as basis_mod, kernels
 
 ASHKIN_TELLER = "at"
 STAGGERED_XXZ = "xxz"
@@ -49,12 +50,14 @@ class ModelParams:
 
 @dataclass(eq=False)
 class SparseHamiltonian:
-    """Symmetric Hamiltonian in CSR layout over a (sector) basis: real, or
-    complex symmetric when built with a ``pencil``."""
+    """Real symmetric Hamiltonian in CSR layout over a (sector) basis. A
+    build with a ``pencil`` also holds ``slope``, the derivative of H by
+    that coupling, as data on the matrix's own indices."""
 
     basis: SpinBasis
     matrix: sp.csr_matrix
     params: ModelParams
+    slope: Optional[np.ndarray] = None
 
     @property
     def dim(self):
@@ -94,9 +97,10 @@ def k0_domain(p):
 
 def build_hamiltonian(p, sector=Full(), pencil=None):
     """Assemble the model Hamiltonian restricted to the sector descriptor
-    ``sector``. With ``pencil`` ("delta" or "beta") that coupling is raised
-    by 1j; H is affine in it, so the matrix is H(p) + 1j dH/d(pencil) on one
-    pattern.
+    ``sector``. With ``pencil`` ("delta" or "beta") the kernels see that
+    coupling raised by 1j; H is affine in it, so the real parts of their
+    terms give the matrix H(p) and the imaginary parts its ``slope``
+    dH/d(pencil), on the same pattern.
 
     In a K0 sector the element between orbit states r' and r is
     sqrt(N_r / N_r') times the sum of <s'|H|r> over s' in the orbit of r'.
@@ -108,16 +112,50 @@ def build_hamiltonian(p, sector=Full(), pencil=None):
         raise ValueError("XParity sectors apply to the Ashkin-Teller chain only")
 
     basis = build_basis(p.n_spins, sector, frame=FRAMES[p.model])
+    dim = basis.dim
     entries = kernels.at_entries if p.model == ASHKIN_TELLER else kernels.xxz_entries
     q = replace(p, **{pencil: getattr(p, pencil) + 1j}) if pencil else p
-    targets, cols, vals = entries(basis.states, p.m_sites, q.beta, q.delta)
-    rows = basis.index_of(targets)
-    if basis.sizes is not None:
-        vals = vals * np.sqrt(basis.sizes[cols] / basis.sizes[rows])
+    # column r holds the terms of H on label r alone, and H is symmetric, so
+    # each chunk of columns, read as rows, is appended to the CSR arrays in
+    # turn. A kernel emits a diagonal term and at most `per_col - 1` flips
+    # per column; the arrays are allocated for that bound, and the pages of
+    # the unused tail, never written, are returned by the final resize
+    per_col = 1 + (3 * p.m_sites if p.model == ASHKIN_TELLER else p.n_spins)
+    width = max(1, basis_mod._CHUNK // per_col)
+    index = np.int32 if dim * per_col < 2**31 else np.int64
+    indptr = np.zeros(dim + 1, dtype=index)
+    indices = np.empty(dim * per_col, dtype=index)
+    a = np.empty(dim * per_col)
+    b = np.empty(dim * per_col) if pencil else None
+    nnz = 0
+    for lo in range(0, dim, width):
+        block = _column_block(basis, entries, q, lo, width)
+        end = nnz + block.nnz
+        indptr[lo + 1:lo + 1 + block.shape[0]] = block.indptr[1:] + nnz
+        indices[nnz:end] = block.indices
+        a[nnz:end] = block.data.real
+        if pencil:
+            b[nnz:end] = block.data.imag
+        nnz = end
+        del block  # before the next block's temporaries
+    for arr in (indices, a, b):
+        if arr is not None:
+            arr.resize(nnz, refcheck=False)
+    mat = sp.csr_matrix((a, indices, indptr), shape=(dim, dim))
+    return SparseHamiltonian(basis, mat, p, b)
 
-    # the COO constructor sums duplicate entries and sorts the indices
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
-    return SparseHamiltonian(basis, mat, p)
+
+def _column_block(basis, entries, q, lo, width):
+    """Columns lo..lo+width of the Hamiltonian as CSR rows of its transpose;
+    the COO constructor sums duplicate entries and sorts the indices."""
+    targets, cols, vals = entries(basis.states[lo:lo + width], q.m_sites,
+                                  q.beta, q.delta)
+    rows = basis.index_of(targets)
+    del targets
+    if basis.sizes is not None:
+        vals = vals * np.sqrt(basis.sizes[cols + lo] / basis.sizes[rows])
+    return sp.csr_matrix((vals, (cols, rows)),
+                         shape=(min(width, basis.dim - lo), basis.dim))
 
 
 def link_variable(kind, index, p):

@@ -191,9 +191,9 @@ def run_sweep(spec):
     sector = ground_sector(p0)
     if all(k0_domain(replace(p, **{spec.sweep: x})) for x in (grid[0], grid[-1])):
         sector = K0(sector)
-    h = build_hamiltonian(p0, sector, spec.sweep)  # A + 1j B, H(x) = A + x B
-    a, b = h.matrix.data.real.copy(), h.matrix.data.imag.copy()
-    h.matrix.data = a.copy()  # contiguous float64, not a view of the complex
+    h = build_hamiltonian(p0, sector, spec.sweep)  # H(x) = A + x B
+    a, b = h.matrix.data, h.slope
+    h.matrix.data = np.empty_like(a)
     # only ARPACK reads v0; a dense solve at dim 1 (XXZ K0, M = 1) has no psi1
     warm = isinstance(sector, K0) and solver_path(h.dim, 2) == "arpack"
     points, v0 = [], None

@@ -76,16 +76,22 @@ def check_link_algebra(model, m_sites, variables=None):
     return VerificationReport("link-algebra", p.n_spins, {"model": model}, dev, 1e-12)
 
 
-def _solved_ground(p):
-    return ground_state(build_hamiltonian(p, ground_sector(p)))
+def _solved_ground(p, solved=None):
+    """Ground-sector solve of p; kept in the dict ``solved``, if one is
+    given, so that suites run together solve each model once."""
+    if solved is None:
+        return ground_state(build_hamiltonian(p, ground_sector(p)))
+    if p not in solved:
+        solved[p] = _solved_ground(p)
+    return solved[p]
 
 
-def check_constraints_on_ground_state(p, state=None):
+def check_constraints_on_ground_state(p, state=None, solved=None):
     """Product-operator constraints applied to the ground state."""
     _check_size("constraints", p.m_sites)
     notes = ""
     if state is None:
-        res = _solved_ground(p)
+        res = _solved_ground(p, solved)
         if res.degenerate:
             notes = "inconclusive: degenerate ground state"
         state = res.ground_state
@@ -126,26 +132,24 @@ def check_constraints_on_ground_state(p, state=None):
         float("nan") if notes else dev, 1e-9, notes or "; ".join(details))
 
 
-def check_energy_equivalence(delta, beta, m_sites):
+def check_energy_equivalence(delta, beta, m_sites, solved=None):
     """|E0(AT, M) - E0(XXZ, 2M)| inside the respective ground sectors."""
     _check_size("energy", m_sites)
-    e_at = _solved_ground(ModelParams(ASHKIN_TELLER, m_sites, delta=delta,
-                                      beta=beta)).ground_energy
-    e_xxz = _solved_ground(ModelParams(STAGGERED_XXZ, m_sites, delta=delta,
-                                       beta=beta)).ground_energy
+    e_at, e_xxz = (_solved_ground(ModelParams(model, m_sites, delta=delta,
+                                              beta=beta), solved).ground_energy
+                   for model in (ASHKIN_TELLER, STAGGERED_XXZ))
     return VerificationReport(
         "energy-equivalence", 2 * m_sites,
         {"delta": delta, "beta": beta}, abs(e_at - e_xxz), 1e-8,
         f"E0={e_at:.10f}")
 
 
-def check_density_equality(delta, beta, m_sites):
+def check_density_equality(delta, beta, m_sites, solved=None):
     """Frontal-pair vs intra-dimer-pair reduced matrices, eigenvalue match."""
     _check_size("density", m_sites)
-    p_at = ModelParams(ASHKIN_TELLER, m_sites, delta=delta, beta=beta)
-    p_xxz = ModelParams(STAGGERED_XXZ, m_sites, delta=delta, beta=beta)
-    res_at = _solved_ground(p_at)
-    res_xxz = _solved_ground(p_xxz)
+    res_at, res_xxz = (_solved_ground(ModelParams(model, m_sites, delta=delta,
+                                                  beta=beta), solved)
+                       for model in (ASHKIN_TELLER, STAGGERED_XXZ))
     if res_at.degenerate or res_xxz.degenerate:
         return VerificationReport(
             "density-equality", 2 * m_sites,
@@ -206,12 +210,14 @@ def run_suites(names, m_sites, delta, beta):
     if unknown:
         raise ValueError(f"unknown verification suites {sorted(unknown)}")
     models = (ASHKIN_TELLER, STAGGERED_XXZ)
+    solved = {}  # constraints, energy and density share each model's solve
     suites = {
         "link-algebra": lambda m: [check_link_algebra(x, m) for x in models],
         "constraints": lambda m: [check_constraints_on_ground_state(
-            ModelParams(x, m, delta=delta, beta=beta)) for x in models],
-        "energy": lambda m: [check_energy_equivalence(delta, beta, m)],
-        "density": lambda m: [check_density_equality(delta, beta, m)],
+            ModelParams(x, m, delta=delta, beta=beta), solved=solved)
+            for x in models],
+        "energy": lambda m: [check_energy_equivalence(delta, beta, m, solved)],
+        "density": lambda m: [check_density_equality(delta, beta, m, solved)],
         "spectral-inclusion": lambda m: [check_spectral_inclusion(delta, beta, m)],
     }
     reports = []

@@ -211,7 +211,8 @@ _REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)],
 
 def k0_by_search(parent):
     """(states, orbit, sizes) of K0(parent.sector) by the int64 image loop and
-    a binary search of each label's smallest image among the parent labels.
+    a binary search of each label's smallest image among the parent labels;
+    orbit is int32, as the basis holds it.
 
     ``parent`` is an XParity(p, p) or SzFixed(n/2) basis.
     """
@@ -234,4 +235,4 @@ def k0_by_search(parent):
             rep = np.minimum(rep, ((image << t) & ones) | (image >> (n - t)))
     states = s[rep == s]
     orbit = np.searchsorted(states, rep)
-    return states, orbit, np.bincount(orbit, minlength=len(states))
+    return states, orbit.astype(np.int32), np.bincount(orbit, minlength=len(states))

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from atxxz import (ModelParams, build_hamiltonian,
                    dense_spectrum, ground_sector, link_variable)
+from atxxz import basis as basis_mod, kernels
 from atxxz.basis import Full, K0, SzFixed, XParity, pauli
 from atxxz.models import ASHKIN_TELLER, STAGGERED_XXZ
 from oracles import classify_sector, dense_op
@@ -138,23 +140,25 @@ class TestBuildHamiltonian:
     @pytest.mark.parametrize("model", [ASHKIN_TELLER, STAGGERED_XXZ])
     @pytest.mark.parametrize("m_sites", [1, 2, 3, 4])
     def test_pencil_holds_both_terms(self, model, m_sites, coupling):
-        # H(x) = A + x B, so the pencil build at x is H(x) + 1j B on H(x)'s
-        # pattern; M = 1 takes the Ashkin-Teller wrap-around branch
+        # H(x) = A + x B: the pencil build at x holds A = H(x) as its matrix
+        # and B as its slope, on H(x)'s pattern; M = 1 takes the
+        # Ashkin-Teller wrap-around branch
         for x in (0.0, -0.6):
             p = ModelParams(model, m_sites, **{"delta": 0.7, "beta": 1.3,
                                                coupling: x})
             for sector in (Full(), ground_sector(p), K0(ground_sector(p))):
-                hj = build_hamiltonian(p, sector, coupling).matrix
+                pencil = build_hamiltonian(p, sector, coupling)
+                a, b = pencil.matrix, pencil.slope
                 h0, h1 = (build_hamiltonian(replace(p, **{coupling: y}),
                                             sector).matrix for y in (x, x + 1))
-                assert hj.dtype == np.complex128 and h0.dtype == np.float64
+                assert a.dtype == b.dtype == h0.dtype == np.float64
+                assert b.shape == a.data.shape
                 for h in (h0, h1):
-                    assert np.array_equal(hj.indptr, h.indptr)
-                    assert np.array_equal(hj.indices, h.indices)
+                    assert np.array_equal(a.indptr, h.indptr)
+                    assert np.array_equal(a.indices, h.indices)
                 # equal values; only the sign of some zero entries can differ
-                assert np.array_equal(hj.data.real, h0.data)
-                assert np.abs(hj.data.real + hj.data.imag
-                              - h1.data).max() <= 1e-14
+                assert np.array_equal(a.data, h0.data)
+                assert np.abs(a.data + b - h1.data).max() <= 1e-14
 
     def test_misfit_basis_refused(self):
         # a basis of another size or frame is refused as any basis is
@@ -208,6 +212,77 @@ class TestK0Sector:
             build_hamiltonian(ModelParams(ASHKIN_TELLER, 2), K0(SzFixed(2)))
         with pytest.raises(ValueError):
             build_hamiltonian(ModelParams(STAGGERED_XXZ, 2), K0(XParity(1, 1)))
+
+
+def isometry(b):
+    """P with H_sector = P^T H_full P: the identity's columns at a sector's
+    labels, or a K0 orbit's labels each weighted 1/sqrt(N_r)."""
+    iso = np.zeros((1 << b.n_spins, b.dim))
+    if b.parent is None:
+        iso[b.states, np.arange(b.dim)] = 1.0
+    else:
+        iso[b.parent.states, b.orbit] = 1.0 / np.sqrt(b.sizes[b.orbit])
+    return iso
+
+
+class TestColumnChunks:
+    @pytest.mark.parametrize("pencil", [None, "delta", "beta"])
+    @pytest.mark.parametrize("model", [ASHKIN_TELLER, STAGGERED_XXZ])
+    @pytest.mark.parametrize("m_sites", [1, 2, 3, 4, 5])
+    def test_single_columns_match_one_chunk(self, monkeypatch, model, m_sites,
+                                            pencil):
+        p = ModelParams(model, m_sites, delta=0.7, beta=1.3)
+        other = XParity(1, -1) if model == ASHKIN_TELLER else SzFixed(m_sites - 1)
+        sectors = (Full(), ground_sector(p), other, K0(ground_sector(p)))
+        # below M = 6 every sector is one chunk of columns at the default budget
+        whole = [build_hamiltonian(p, sector, pencil) for sector in sectors]
+        dense = {x: build_hamiltonian(replace(p, **{pencil: x}), Full()).dense()
+                 for x in ((getattr(p, pencil), getattr(p, pencil) + 1)
+                           if pencil else ())}
+        dense[None] = build_hamiltonian(p, Full()).dense()
+        # a budget of 3 terms: one column per chunk, and parent chunks of 3
+        # rows, which end mid-orbit
+        monkeypatch.setattr(basis_mod, "_CHUNK", 3)
+        calls = []
+        for attr in ("at_entries", "xxz_entries"):
+            real = getattr(kernels, attr)
+            monkeypatch.setattr(kernels, attr, lambda *a, f=real: (
+                calls.append(len(a[0])) or f(*a)))
+        for sector, one in zip(sectors, whole):
+            calls.clear()
+            h = build_hamiltonian(p, sector, pencil)
+            assert calls == [1] * h.dim
+            a = h.matrix
+            assert np.array_equal(a.indptr, one.matrix.indptr)
+            assert np.array_equal(a.indices, one.matrix.indices)
+            assert np.abs(a.data - one.matrix.data).max() <= 1e-14
+            iso = isometry(h.basis)
+            if pencil is None:
+                assert h.slope is None
+                pairs = [(a.toarray(), dense[None])]
+            else:
+                assert np.abs(h.slope - one.slope).max() <= 1e-14
+                x = getattr(p, pencil)
+                b = a.copy()
+                b.data = a.data + h.slope
+                pairs = [(a.toarray(), dense[x]), (b.toarray(), dense[x + 1])]
+            for got, full in pairs:
+                assert np.abs(got - iso.T @ full @ iso).max() <= 1e-12
+
+    def test_k0_pencil_build_stays_small(self):
+        # 20 spins: the parent's labels take 2 MiB and the int32 orbit 1 MiB,
+        # the CSR pattern with A and B 4.1 MiB, and one chunk of columns'
+        # temporaries about 3.5 MiB. Whole-sector triplet arrays and an int64
+        # orbit peaked at 18.2 MiB
+        p = ModelParams(ASHKIN_TELLER, 10, delta=1.0, beta=1.0)
+        tracemalloc.start()
+        try:
+            h = build_hamiltonian(p, K0(XParity(1, 1)), "delta")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 << 20
+        assert h.dim == 6990 and h.slope.dtype == np.float64
 
 
 class TestClassifySector:

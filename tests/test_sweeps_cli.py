@@ -368,7 +368,7 @@ def spy_solves(monkeypatch, fail=None):
     real = sweeps_mod.ground_state
 
     def solve(h, *a, v0=None, **k):
-        # the solver gets the real matrix, not a strided view of the complex one
+        # the solver gets a contiguous float64 matrix
         data = h.matrix.data
         assert data.dtype == np.float64 and data.flags.c_contiguous
         res = real(h, *a, v0=v0, **k)

@@ -9,7 +9,7 @@ from atxxz.basis import (K0, Full, PauliString, QuantumState, SzFixed, XParity,
 from atxxz.eigensolve import ground_state
 from atxxz.models import (ASHKIN_TELLER, STAGGERED_XXZ, build_hamiltonian,
                           link_variable)
-from atxxz import verify
+from atxxz import cli, verify
 from oracles import dense_in_frame, dense_op, expand_full
 
 
@@ -253,6 +253,16 @@ class TestRunSuites:
         assert verify.SUITE_MAX_M == {
             "link-algebra": 14, "constraints": 10, "energy": 10, "density": 10,
             "spectral-inclusion": 3}
+
+    def test_suites_share_each_models_solve(self, monkeypatch, capsys):
+        # constraints, energy and density read the same two ground states
+        solves = []
+        real = verify.ground_state
+        monkeypatch.setattr(verify, "ground_state", lambda h: (
+            solves.append(h.params.model) or real(h)))
+        code = cli.main(["verify", "constraints", "energy", "density", "--m", "4"])
+        assert code == 0 and "all checks passed" in capsys.readouterr().out
+        assert sorted(solves) == [ASHKIN_TELLER, STAGGERED_XXZ]
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="no-such-suite"):
