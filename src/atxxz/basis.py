@@ -329,26 +329,32 @@ def pauli(*site_axis_pairs, coefficient=1.0):
     return PauliString(tuple(site_axis_pairs), coefficient)
 
 
-def pauli_action(psi, *strings):
-    """The product P = phase X^x Z^z of the strings, applied first to last,
-    on the labels s of psi's sector (a K0 state: c / sqrt(N) on its parent's).
-
-    Returns the moved amplitudes phase (-1)^|s & z| psi(s), which land on
-    s ^ x; psi(s ^ x), zero outside the sector; and psi's weight on the
-    labels P moves out of it. The strings are physical-frame: in the x frame
-    each spin is Hadamard rotated, which swaps the masks at a sign.
-    """
-    b = psi.basis
+def compose(strings, n_spins, frame):
+    """(x, z, phase) of the product P = phase X^x Z^z of the physical-frame
+    strings, applied first to last, written in the labels of a basis of the
+    given frame: in the x frame each spin is Hadamard rotated, which swaps
+    the masks at a sign."""
     x = z = 0
     phase = 1.0
     for string in strings:
-        xs, zs, ps = string.masks(b.n_spins)
+        xs, zs, ps = string.masks(n_spins)
         # X^xs Z^zs X^x Z^z = (-1)^|zs & x| X^(xs ^ x) Z^(zs ^ z)
         phase *= ps * (-1) ** (zs & x).bit_count()
         x, z = x ^ xs, z ^ zs
-    if b.frame == "x":
+    if frame == "x":
         phase *= (-1) ** (x & z).bit_count()
         x, z = z, x
+    return x, z, phase
+
+
+def pauli_action(psi, *strings):
+    """The product P = phase X^x Z^z of the strings (``compose``) on the
+    labels s of psi's sector (a K0 state: c / sqrt(N) on its parent's).
+    Returns the moved amplitudes phase (-1)^|s & z| psi(s), which land on
+    s ^ x; psi(s ^ x), zero outside the sector; and psi's weight on the
+    labels P moves out of it."""
+    b = psi.basis
+    x, z, phase = compose(strings, b.n_spins, b.frame)
     amps, labels = psi.amplitudes, b.states
     if b.parent is not None:
         amps, labels = (amps / np.sqrt(b.sizes))[b.orbit], b.parent.states

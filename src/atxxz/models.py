@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import Full, K0, SzFixed, XParity, SpinBasis, PauliString, build_basis
+from .basis import (Full, K0, SzFixed, XParity, SpinBasis, PauliString,
+                    build_basis, compose)
 from . import basis as basis_mod, kernels
 
 ASHKIN_TELLER = "at"
@@ -37,7 +38,8 @@ class ModelParams:
     def __post_init__(self):
         if self.model not in FRAMES:
             raise ValueError(f"unknown model {self.model!r}")
-        if not (isinstance(self.m_sites, (int, np.integer)) and self.m_sites >= 1):
+        m = self.m_sites
+        if isinstance(m, bool) or not (isinstance(m, (int, np.integer)) and m >= 1):
             raise ValueError("need a whole number of Ashkin-Teller sites, at "
                              f"least one (two spins), got {self.m_sites!r}")
         if not np.all(np.isfinite([self.delta, self.beta])):
@@ -97,8 +99,8 @@ def k0_domain(p):
 
 def build_hamiltonian(p, sector=Full(), pencil=None):
     """Assemble the model Hamiltonian restricted to the sector descriptor
-    ``sector``. With ``pencil`` ("delta" or "beta") the kernels see that
-    coupling raised by 1j; H is affine in it, so the real parts of their
+    ``sector``. With ``pencil`` ("delta" or "beta") the kernel sees that
+    coupling raised by 1j; H is affine in it, so the real parts of its
     terms give the matrix H(p) and the imaginary parts its ``slope``
     dH/d(pencil), on the same pattern.
 
@@ -115,12 +117,12 @@ def build_hamiltonian(p, sector=Full(), pencil=None):
     dim = basis.dim
     entries = kernels.at_entries if p.model == ASHKIN_TELLER else kernels.xxz_entries
     q = replace(p, **{pencil: getattr(p, pencil) + 1j}) if pencil else p
+    terms = hamiltonian_terms(q)
     # column r holds the terms of H on label r alone, and H is symmetric, so
     # each chunk of columns, read as rows, is appended to the CSR arrays in
-    # turn. A kernel emits a diagonal term and at most `per_col - 1` flips
-    # per column; the arrays are allocated for that bound, and the pages of
-    # the unused tail, never written, are returned by the final resize
-    per_col = 1 + (3 * p.m_sites if p.model == ASHKIN_TELLER else p.n_spins)
+    # turn: allocated for a diagonal term and a flip per nonzero x mask per
+    # column, then resized, which returns the pages of the unwritten tail
+    per_col = 1 + len({x for x, _, _ in terms if x})
     width = max(1, basis_mod._CHUNK // per_col)
     index = np.int32 if dim * per_col < 2**31 else np.int64
     indptr = np.zeros(dim + 1, dtype=index)
@@ -129,7 +131,7 @@ def build_hamiltonian(p, sector=Full(), pencil=None):
     b = np.empty(dim * per_col) if pencil else None
     nnz = 0
     for lo in range(0, dim, width):
-        block = _column_block(basis, entries, q, lo, width)
+        block = _column_block(basis, entries, terms, lo, width)
         end = nnz + block.nnz
         indptr[lo + 1:lo + 1 + block.shape[0]] = block.indptr[1:] + nnz
         indices[nnz:end] = block.indices
@@ -145,11 +147,10 @@ def build_hamiltonian(p, sector=Full(), pencil=None):
     return SparseHamiltonian(basis, mat, p, b)
 
 
-def _column_block(basis, entries, q, lo, width):
+def _column_block(basis, entries, terms, lo, width):
     """Columns lo..lo+width of the Hamiltonian as CSR rows of its transpose;
     the COO constructor sums duplicate entries and sorts the indices."""
-    targets, cols, vals = entries(basis.states[lo:lo + width], q.m_sites,
-                                  q.beta, q.delta)
+    targets, cols, vals = entries(basis.states[lo:lo + width], terms)
     rows = basis.index_of(targets)
     del targets
     if basis.sizes is not None:
@@ -158,34 +159,38 @@ def _column_block(basis, entries, q, lo, width):
                          shape=(min(width, basis.dim - lo), basis.dim))
 
 
+def hamiltonian_terms(p):
+    """H = -sum_k c_k (eta_k + gamma_k + delta eta_k gamma_k), k = 1..2M,
+    with c_k = 1 for odd k and beta for even k, as (x, z, coefficient)
+    triples in the model's frame (see ``basis.compose``). Both chains share
+    this polynomial in the link variables; only their Pauli strings differ.
+    Every product is Hermitian with a real phase."""
+    terms = []
+    for k in range(1, p.n_spins + 1):
+        c = 1.0 if k % 2 else p.beta
+        eta, gamma = link_variable("eta", k, p), link_variable("gamma", k, p)
+        for strings, w in ((eta,), c), ((gamma,), c), ((eta, gamma), c * p.delta):
+            x, z, phase = compose(strings, p.n_spins, FRAMES[p.model])
+            terms.append((x, z, -w * phase.real))
+    return terms
+
+
 def link_variable(kind, index, p):
     """Physical-frame Pauli string of eta_index or gamma_index, one of the
     bond/site operators through which both chains coincide."""
     if kind not in ("eta", "gamma"):
         raise ValueError(f"unknown link-variable kind {kind!r}")
-    if not 1 <= index <= 2 * p.m_sites:
-        raise ValueError(f"link index {index} outside [1, {2 * p.m_sites}]")
-    M = p.m_sites
-    if p.model == ASHKIN_TELLER:
-        if index % 2 == 1:  # eta_{2j-1} = sigma_j^x, gamma_{2j-1} = tau_j^x
-            j = (index + 1) // 2
-            bit = 2 * (j - 1) + (0 if kind == "eta" else 1)
-            terms = ((bit, "x"),)
-        else:  # eta_{2j} = sigma_j^z sigma_{j+1}^z, gamma_{2j} likewise on tau
-            j = index // 2
-            off = 0 if kind == "eta" else 1
-            a, b = 2 * (j - 1) + off, 2 * (j % M) + off
-            # M = 1 wraps a bond onto itself; the square is the identity
-            terms = () if a == b else ((a, "z"), (b, "z"))
-    else:
-        n = 2 * M
-        if index % 2 == 1:  # eta: XX on the intra-dimer bond, gamma: YY
-            j = (index + 1) // 2
-            a, b = 2 * j - 2, 2 * j - 1
-            ax = "x" if kind == "eta" else "y"
-        else:  # eta: YY on the staggered bond, gamma: XX
-            j = index // 2
-            a, b = 2 * j - 1, (2 * j) % n
-            ax = "y" if kind == "eta" else "x"
-        terms = ((a, ax), (b, ax))
-    return PauliString(terms)
+    if not 1 <= index <= p.n_spins:
+        raise ValueError(f"link index {index} outside [1, {p.n_spins}]")
+    even, n = index % 2 == 0, p.n_spins
+    if p.model == STAGGERED_XXZ:  # bond (index, index + 1) of spins 1..2M
+        # eta: XX on the intra-dimer bonds, YY on the others; gamma: swapped
+        ax = "x" if (kind == "eta") != even else "y"
+        return PauliString(((index - 1, ax), (index % n, ax)))
+    off = int(kind == "gamma")  # tau_j sits one bit above sigma_j
+    if not even:  # eta_{2j-1} = sigma_j^x, gamma_{2j-1} = tau_j^x
+        return PauliString(((index - 1 + off, "x"),))
+    # eta_{2j} = sigma_j^z sigma_{j+1}^z, gamma_{2j} likewise on tau; M = 1
+    # wraps the bond onto itself, and the square is the identity
+    a, b = index - 2 + off, index % n + off
+    return PauliString(() if a == b else ((a, "z"), (b, "z")))
