@@ -218,33 +218,46 @@ def _k0_basis(n_spins, sector, frame):
         exchange = lambda s: s ^ ones
     else:
         raise ValueError(f"K0 refines XParity(p, p) or SzFixed(n/2), not {sector.parent!r}")
-    # one pass over chunks of parent rows, in order. The smallest image of a
-    # label is a representative, at the label's own row or an earlier one:
-    # a representative's row takes the next orbit number, by an int32 cumsum
-    # over the chunk, and every other row copies its representative's. So
-    # orbit (int32) is the only array as long as the parent's labels
-    orbit = np.empty(parent.dim, dtype=np.int32)
-    reps, done = [], 0
+    mirror = lambda s: _mirror(s, n_spins)
+    rotate = lambda s, t: ((s << t) & ones) | (s >> (n_spins - t))
+    turns = np.arange(0, n_spins, 2, dtype=np.uint32)[:, None]
+    # a label is a representative when no image of it is smaller. A chunk's
+    # candidates meet the rotations of s one at a time, and about 90 % leave;
+    # the rest meet all rotations of exchange(s), of mirror(s) and of
+    # exchange(mirror(s)) at once, one of the three at a time
+    reps = []
     for lo in range(0, parent.dim, _CHUNK):
-        labels = parent.states[lo:lo + _CHUNK]
-        chunk = slice(lo, lo + len(labels))
-        s = labels.astype(np.uint32)
-        rep = s.copy()
-        for image in _images(s, n_spins, exchange):
-            np.minimum(rep, image, out=rep)
-        rows = parent.rank(rep)
-        is_rep = rows == np.arange(chunk.start, chunk.stop)
-        orbit[chunk] = np.cumsum(is_rep, dtype=np.int32) + (done - 1)
-        orbit[chunk] = orbit[rows]
-        reps.append(labels[is_rep])
-        done += len(reps[-1])
+        s = parent.states[lo:lo + _CHUNK].astype(np.uint32)
+        for t in range(2, n_spins, 2):
+            s = s[s <= rotate(s, t)]
+        for symmetry in (exchange, mirror, lambda s: exchange(mirror(s))):
+            s = s[(s <= rotate(symmetry(s), turns)).all(axis=0)]
+        reps.append(s)
     states = np.concatenate(reps)
-    # orbit-stabilizer: an orbit has 2n labels over the number of the 4M = 2n
-    # symmetries that fix its representative
-    s = states.astype(np.uint32)
-    fixed = sum(image == s for image in _images(s, n_spins, exchange))
+    # every parent label is an image of its representative, so a pass over
+    # their images, chunk by chunk, fills orbit (int32, the only array as
+    # long as the parent's labels). Orbit-stabilizer: an orbit has 2n labels
+    # over the number of the 4M = 2n symmetries that fix its representative
+    orbit = np.empty(parent.dim, dtype=np.int32)
+    fixed = np.zeros(len(states), dtype=np.int64)
+    for lo in range(0, len(states), _CHUNK):
+        s = states[lo:lo + _CHUNK]
+        rows = np.arange(lo, lo + len(s), dtype=np.int32)
+        for image in _images(s, n_spins, exchange):
+            orbit[parent.rank(image)] = rows
+            fixed[lo:lo + len(s)] += image == s
     sizes = 2 * n_spins // fixed
-    return SpinBasis(n_spins, states, sector, frame, parent, orbit, sizes)
+    return SpinBasis(n_spins, states.astype(np.int64), sector, frame, parent, orbit, sizes)
+
+
+def _mirror(s, n_spins):
+    """Reflection of the uint32 labels s, byte by byte through the table."""
+    n_bytes = -(-n_spins // 8)
+    mirror = np.zeros_like(s)
+    for j in range(n_bytes):
+        mirror |= _REVERSED_BYTE[(s >> (8 * j)) & 255] << (8 * (n_bytes - 1 - j))
+    mirror >>= 8 * n_bytes - n_spins
+    return mirror
 
 
 def _images(s, n_spins, exchange):
@@ -255,13 +268,7 @@ def _images(s, n_spins, exchange):
     Works in uint32, exact up to 32 spins (MAX_SPINS = 28).
     """
     ones = np.uint32((1 << n_spins) - 1)
-    # reflection: reverse the bytes of the label, each through the table,
-    # then drop the padding bits above n_spins
-    n_bytes = -(-n_spins // 8)
-    mirror = np.zeros_like(s)
-    for j in range(n_bytes):
-        mirror |= _REVERSED_BYTE[(s >> (8 * j)) & 255] << (8 * (n_bytes - 1 - j))
-    mirror >>= 8 * n_bytes - n_spins
+    mirror = _mirror(s, n_spins)
     rot, low = np.empty_like(s), np.empty_like(s)
     for image in (s, exchange(s), mirror, exchange(mirror)):
         for t in range(0, n_spins, 2):

@@ -30,18 +30,24 @@ class DensityMatrix:
     matrix: np.ndarray
 
 
+def check_sites(sites, n_spins):
+    """The sites as a tuple of ints; ValueError for none, a repeated one, or
+    one that is a bool, not an integer or outside [0, n_spins), and
+    CapacityError for more than a reduced matrix can hold."""
+    sites = tuple(sites)
+    if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in sites):
+        raise ValueError(f"sites {sites} are not all integers")
+    if not sites or len(set(sites)) < len(sites) or min(sites) < 0 or max(sites) >= n_spins:
+        raise ValueError(f"invalid sites {sites} for {n_spins} spins")
+    if len(sites) > MAX_KEPT_SITES:
+        raise CapacityError(f"cannot keep more than {MAX_KEPT_SITES} sites densely")
+    return tuple(int(s) for s in sites)
+
+
 def reduce_state(psi, keep):
     """Unit-trace partial trace of |psi><psi| keeping the given sites."""
-    keep = list(keep)
     n = psi.basis.n_spins
-    if not keep:
-        raise ValueError("keep must be nonempty")
-    if len(set(keep)) != len(keep):
-        raise ValueError("repeated site in keep")
-    if any(s < 0 or s >= n for s in keep):
-        raise ValueError(f"keep sites must lie in [0, {n})")
-    if len(keep) > MAX_KEPT_SITES:
-        raise CapacityError(f"cannot keep more than {MAX_KEPT_SITES} sites densely")
+    keep = check_sites(keep, n)
 
     # sorted labels: each value of the bits from ``low`` up is one slice of
     # rows, zero-padded to 2^low amplitudes; the kept sites all lie below

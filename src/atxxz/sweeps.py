@@ -9,12 +9,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import K0, CapacityError
+from .basis import K0
 from .models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
                      build_hamiltonian, ground_sector, k0_domain)
 from .eigensolve import (ConvergenceError, check_solver_args, ground_state,
                          solver_path)
-from .entanglement import (MAX_KEPT_SITES, InvalidStateError, dsb, negativity,
+from .entanglement import (InvalidStateError, check_sites, dsb, negativity,
                            reduce_state, von_neumann)
 from .observables import correlator_x, finite_difference, magnetization_x
 
@@ -113,23 +113,15 @@ class SweepResult:
 
 def resolve_block(block, model, n_spins):
     """Preset name or site list -> (label, site tuple)."""
-    if isinstance(block, str):
-        preset = BLOCK_PRESETS.get(block)
-        if preset is None:
-            raise ValueError(f"unknown block preset {block!r}")
-        sites = preset.get(model)
-        if sites is None:
-            raise ValueError(f"block preset {block!r} undefined for model {model!r}")
-        label = block
-    else:
-        sites = tuple(int(s) for s in block)
-        label = "+".join(str(s) for s in sites)
-    if (not sites or any(s < 0 or s >= n_spins for s in sites)
-            or len(set(sites)) != len(sites)):
-        raise ValueError(f"invalid block sites {sites} for {n_spins} spins")
-    if len(sites) > MAX_KEPT_SITES:
-        raise CapacityError(f"cannot keep more than {MAX_KEPT_SITES} sites densely")
-    return label, sites
+    if not isinstance(block, str):
+        sites = check_sites(block, n_spins)
+        return "+".join(str(s) for s in sites), sites
+    preset = BLOCK_PRESETS.get(block)
+    if preset is None:
+        raise ValueError(f"unknown block preset {block!r}")
+    if model not in preset:
+        raise ValueError(f"block preset {block!r} undefined for model {model!r}")
+    return block, check_sites(preset[model], n_spins)
 
 
 def _warn(spec, p, reason):

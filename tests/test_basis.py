@@ -170,6 +170,28 @@ class TestK0Basis:
         for got, want in zip((b.states, b.orbit, b.sizes), k0_by_search(b.parent)):
             assert np.array_equal(got, want)
 
+    # 3 to 16 parent chunks, past the reach of the search oracle
+    @pytest.mark.parametrize("m_sites,at_dim,xxz_dim", [(10, 6990, 4971), (11, 24367, 16545)])
+    @pytest.mark.parametrize("parent,frame", [("xparity", "x"), ("szfixed", "z")])
+    def test_invariants_over_many_chunks(self, m_sites, at_dim, xxz_dim, parent, frame):
+        n = 2 * m_sites
+        sector = XParity(1, 1) if parent == "xparity" else SzFixed(m_sites)
+        b = build_basis(n, K0(sector), frame=frame)
+        assert b.parent.dim > 2 * basis._CHUNK
+        assert b.dim == (at_dim if parent == "xparity" else xxz_dim)
+        assert np.all(np.diff(b.states) > 0)
+        assert np.array_equal(b.orbit[b.parent.rank(b.states)], np.arange(b.dim))
+        assert np.array_equal(np.bincount(b.orbit), b.sizes)
+        assert b.sizes.sum() == b.parent.dim
+        even = sum(1 << i for i in range(0, n, 2))
+        if parent == "xparity":
+            exchange = lambda s: ((s & even) << 1) | ((s >> 1) & even)
+        else:
+            exchange = lambda s: s ^ ((1 << n) - 1)
+        s = b.states.astype(np.uint32)
+        for image in basis._images(s, n, exchange):
+            assert np.all(s <= image)
+
     @pytest.mark.parametrize("sector", [XParity(1, -1), SzFixed(2), Full()])
     def test_refuses_asymmetric_parent(self, sector):
         with pytest.raises(ValueError):

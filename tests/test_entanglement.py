@@ -108,6 +108,12 @@ class TestReduceState:
             reduce_state(psi, [0, 0])
         with pytest.raises(ValueError):
             reduce_state(psi, [5])
+        # a bool or a float is refused, not truncated onto another site
+        for keep in ([True], [0, True], [0, 1.0], [1.7]):
+            with pytest.raises(ValueError):
+                reduce_state(psi, keep)
+        assert np.array_equal(reduce_state(psi, np.array([1, 0])).matrix,
+                              reduce_state(psi, [1, 0]).matrix)
         with pytest.raises(CapacityError):
             reduce_state(state(np.ones(1 << 16), 16), list(range(15)))
 

@@ -115,6 +115,12 @@ class TestResolveBlock:
             resolve_block((0, 9), ASHKIN_TELLER, 8)
         with pytest.raises(ValueError):
             resolve_block((), ASHKIN_TELLER, 8)
+        # a bool or a float is refused, not truncated onto another site
+        for block in ((0, 1.7), (True, 2), (0, 1.0)):
+            with pytest.raises(ValueError):
+                resolve_block(block, ASHKIN_TELLER, 8)
+            with pytest.raises(ValueError):
+                small_spec(block=block)
         with pytest.raises(CapacityError):
             resolve_block(range(15), ASHKIN_TELLER, 16)
 
