@@ -93,13 +93,6 @@ def partial_transpose(rho, subsystem_a):
     return tens.transpose(perm).reshape(1 << k, 1 << k)
 
 
-def min_pt_eigenvalue(rho, subsystem_a=None):
-    if subsystem_a is None:
-        subsystem_a = (rho.sites[0],)
-    pt = partial_transpose(rho, subsystem_a)
-    return float(np.linalg.eigvalsh(pt)[0])
-
-
 def negativity(rho, subsystem_a=None):
     """Twice the magnitude of the most negative PT eigenvalue, floored at 0."""
     return max(0.0, dsb(rho, subsystem_a))
@@ -107,7 +100,9 @@ def negativity(rho, subsystem_a=None):
 
 def dsb(rho, subsystem_a=None):
     """Distance from the separability boundary: -2 min PT eigenvalue."""
-    return -2.0 * min_pt_eigenvalue(rho, subsystem_a)
+    if subsystem_a is None:
+        subsystem_a = (rho.sites[0],)
+    return -2.0 * float(np.linalg.eigvalsh(partial_transpose(rho, subsystem_a))[0])
 
 
 def von_neumann(rho):

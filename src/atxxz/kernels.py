@@ -1,7 +1,7 @@
 """Hot kernel: COO entries of a sum of Pauli strings on basis labels.
 
-Couplings may be complex: each element is affine in each, so coupling 1j
-gives A + 1j B.
+Only a pencil's coefficients (``models.hamiltonian_terms``) are complex;
+the elements are linear in them, so a + 1j b gives A + 1j B.
 """
 
 import numpy as np

@@ -9,7 +9,7 @@ Site conventions (n = 2M spins in both models):
   XXZ:           spin i  -> bit i-1, i = 1..2M.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,8 +27,7 @@ FRAMES = {ASHKIN_TELLER: "x", STAGGERED_XXZ: "z"}
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Couplings and geometry of one chain. A complex coupling is for
-    assembly only; ``ground_sector`` and ``k0_domain`` take real ones."""
+    """Couplings and geometry of one chain; the couplings are finite reals."""
 
     model: str  # "at" or "xxz"
     m_sites: int  # M; both chains carry 2M spins
@@ -42,8 +41,11 @@ class ModelParams:
         if isinstance(m, bool) or not (isinstance(m, (int, np.integer)) and m >= 1):
             raise ValueError("need a whole number of Ashkin-Teller sites, at "
                              f"least one (two spins), got {self.m_sites!r}")
-        if not np.all(np.isfinite([self.delta, self.beta])):
-            raise ValueError("delta and beta must be finite")
+        for name in ("delta", "beta"):
+            x = getattr(self, name)
+            real = isinstance(x, (int, float, np.integer, np.floating))
+            if isinstance(x, bool) or not real or not np.isfinite(x):
+                raise ValueError(f"{name} must be a finite real number, got {x!r}")
 
     @property
     def n_spins(self):
@@ -99,10 +101,9 @@ def k0_domain(p):
 
 def build_hamiltonian(p, sector=Full(), pencil=None):
     """Assemble the model Hamiltonian restricted to the sector descriptor
-    ``sector``. With ``pencil`` ("delta" or "beta") the kernel sees that
-    coupling raised by 1j; H is affine in it, so the real parts of its
-    terms give the matrix H(p) and the imaginary parts its ``slope``
-    dH/d(pencil), on the same pattern.
+    ``sector``. With ``pencil`` ("delta" or "beta") the matrix holds H(p)
+    and ``slope`` holds dH/d(pencil) on the same pattern, from the real and
+    imaginary parts of ``hamiltonian_terms(p, pencil)``.
 
     In a K0 sector the element between orbit states r' and r is
     sqrt(N_r / N_r') times the sum of <s'|H|r> over s' in the orbit of r'.
@@ -113,11 +114,10 @@ def build_hamiltonian(p, sector=Full(), pencil=None):
     if isinstance(parent, XParity) and p.model != ASHKIN_TELLER:
         raise ValueError("XParity sectors apply to the Ashkin-Teller chain only")
 
+    terms = hamiltonian_terms(p, pencil)  # refuses a bad pencil before any basis
     basis = build_basis(p.n_spins, sector, frame=FRAMES[p.model])
     dim = basis.dim
     entries = kernels.at_entries if p.model == ASHKIN_TELLER else kernels.xxz_entries
-    q = replace(p, **{pencil: getattr(p, pencil) + 1j}) if pencil else p
-    terms = hamiltonian_terms(q)
     # column r holds the terms of H on label r alone, and H is symmetric, so
     # each chunk of columns, read as rows, is appended to the CSR arrays in
     # turn: allocated for a diagonal term and a flip per nonzero x mask per
@@ -159,17 +159,23 @@ def _column_block(basis, entries, terms, lo, width):
                          shape=(min(width, basis.dim - lo), basis.dim))
 
 
-def hamiltonian_terms(p):
+def hamiltonian_terms(p, pencil=None):
     """H = -sum_k c_k (eta_k + gamma_k + delta eta_k gamma_k), k = 1..2M,
     with c_k = 1 for odd k and beta for even k, as (x, z, coefficient)
     triples in the model's frame (see ``basis.compose``). Both chains share
     this polynomial in the link variables; only their Pauli strings differ.
-    Every product is Hermitian with a real phase."""
+    Every product is Hermitian with a real phase. A ``pencil`` ("delta" or
+    "beta") raises that coupling by 1j: H is affine in it, so the real parts
+    are the coefficients of H(p), the imaginary parts those of dH/d(pencil)."""
+    if pencil not in (None, "delta", "beta"):
+        raise ValueError(f"pencil must be 'delta' or 'beta', got {pencil!r}")
+    delta = p.delta + 1j if pencil == "delta" else p.delta
+    beta = p.beta + 1j if pencil == "beta" else p.beta
     terms = []
     for k in range(1, p.n_spins + 1):
-        c = 1.0 if k % 2 else p.beta
+        c = 1.0 if k % 2 else beta
         eta, gamma = link_variable("eta", k, p), link_variable("gamma", k, p)
-        for strings, w in ((eta,), c), ((gamma,), c), ((eta, gamma), c * p.delta):
+        for strings, w in ((eta,), c), ((gamma,), c), ((eta, gamma), c * delta):
             x, z, phase = compose(strings, p.n_spins, FRAMES[p.model])
             terms.append((x, z, -w * phase.real))
     return terms

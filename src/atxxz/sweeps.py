@@ -78,10 +78,9 @@ class SweepSpec:
                 raise ValueError(f"quantity {q!r} needs the Ashkin-Teller chain")
         if any(":" in q for q in self.quantities) and len(self.grid()) < 3:
             raise ValueError("derivative quantities need at least 3 grid points")
-        # the lowest delta must lie in the ground sector's domain
-        ground_sector(ModelParams(
-            self.model, self.m_sites, beta=self.beta,
-            delta=self.start if self.sweep == "delta" else self.delta))
+        # valid couplings, and the lowest delta in the ground sector's domain
+        p = ModelParams(self.model, self.m_sites, delta=self.delta, beta=self.beta)
+        ground_sector(replace(p, **{self.sweep: self.start}))
         _, sites = resolve_block(self.block, self.model, 2 * self.m_sites)
         if len(sites) < 2 and any(q.split(":", 1)[-1] in ("negativity", "dsb")
                                   for q in self.quantities):

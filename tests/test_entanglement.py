@@ -8,8 +8,8 @@ from atxxz.basis import (K0, CapacityError, Full, QuantumState, SzFixed,
                          XParity, build_basis)
 from atxxz.eigensolve import ground_state
 from atxxz.entanglement import (DensityMatrix, InvalidStateError, dsb,
-                                min_pt_eigenvalue, negativity,
-                                partial_transpose, reduce_state, von_neumann)
+                                negativity, partial_transpose, reduce_state,
+                                von_neumann)
 from atxxz.models import ASHKIN_TELLER, ModelParams, build_hamiltonian
 from oracles import (dimer_quartet_analytic, frontal_pair_analytic,
                      lambda_analytic, reduce_by_labels, reduce_dense,
@@ -152,7 +152,6 @@ class TestMeasures:
         rho = reduce_state(bell(), [0, 1])
         assert negativity(rho) == pytest.approx(1.0, abs=1e-12)
         assert dsb(rho) == pytest.approx(1.0, abs=1e-12)
-        assert min_pt_eigenvalue(rho) == pytest.approx(-0.5, abs=1e-12)
 
     def test_product_pair_separable(self):
         plus = np.ones(4) / 2.0

@@ -6,7 +6,7 @@ import pytest
 
 from atxxz import (ModelParams, build_hamiltonian,
                    dense_spectrum, ground_sector, link_variable)
-from atxxz import basis as basis_mod, kernels
+from atxxz import basis as basis_mod, kernels, models as models_mod
 from atxxz.basis import Full, K0, SzFixed, XParity, pauli
 from atxxz.models import ASHKIN_TELLER, STAGGERED_XXZ, hamiltonian_terms
 from oracles import classify_sector, dense_op
@@ -59,12 +59,55 @@ class TestModelParams:
         {"delta": np.inf}, {"beta": -np.inf}, {"delta": np.nan},
         {"delta": -np.inf}, {"beta": np.nan}, {"beta": np.inf},
         {"m_sites": 2.0}, {"m_sites": 2.5}, {"m_sites": "3"},
-        {"m_sites": True}])
+        {"m_sites": True}, {"delta": 1j}, {"delta": 0.5 + 0.5j},
+        {"beta": np.complex128(1.0)}, {"delta": True}, {"beta": np.bool_(True)},
+        {"delta": "1"}, {"delta": None}])
     def test_invalid(self, kw):
         base = {"model": ASHKIN_TELLER, "m_sites": 2}
         base.update(kw)
         with pytest.raises(ValueError):
             ModelParams(**base)
+
+    @pytest.mark.parametrize("value", [2, np.int64(-1), np.float32(0.5), 0.25])
+    def test_real_couplings_kept(self, value):
+        p = ModelParams(ASHKIN_TELLER, 2, delta=value, beta=value)
+        assert p.delta is value and p.beta is value
+
+
+class TestHamiltonianTerms:
+    @pytest.mark.parametrize("coupling", ["delta", "beta"])
+    @pytest.mark.parametrize("model", [ASHKIN_TELLER, STAGGERED_XXZ])
+    @pytest.mark.parametrize("m_sites", [1, 2, 3, 4])
+    def test_pencil_raises_one_coupling(self, model, m_sites, coupling):
+        # real parts: the terms of H(x); imaginary parts: those of
+        # H(x + 1) - H(x), term by term in the same (x, z) order
+        p = ModelParams(model, m_sites, delta=0.7, beta=1.3)
+        x = getattr(p, coupling)
+        pencil = hamiltonian_terms(p, coupling)
+        h0 = hamiltonian_terms(p)
+        h1 = hamiltonian_terms(replace(p, **{coupling: x + 1}))
+        assert [t[:2] for t in pencil] == [t[:2] for t in h0] == [t[:2] for t in h1]
+        c = np.array([t[2] for t in pencil])
+        c0, c1 = (np.array([t[2] for t in h]) for h in (h0, h1))
+        assert np.iscomplexobj(c) and not np.iscomplexobj(c0)
+        assert np.array_equal(c.real, c0)
+        assert np.abs(c.imag - (c1 - c0)).max() <= 1e-15
+
+    @pytest.mark.parametrize("pencil", ["gamma", "m_sites", "model", ""])
+    def test_unknown_pencil_refused_before_any_basis(self, monkeypatch, pencil):
+        bases = []
+        real_basis = models_mod.build_basis
+
+        def counted_basis(*args, **kw):
+            bases.append(args)
+            return real_basis(*args, **kw)
+        monkeypatch.setattr(models_mod, "build_basis", counted_basis)
+        p = ModelParams(ASHKIN_TELLER, 2)
+        with pytest.raises(ValueError, match="pencil"):
+            hamiltonian_terms(p, pencil)
+        with pytest.raises(ValueError, match="pencil"):
+            build_hamiltonian(p, XParity(1, 1), pencil)
+        assert bases == []
 
 
 class TestBuildHamiltonian:

@@ -67,6 +67,14 @@ class TestSweepSpec:
         small_spec(start=-1.0, stop=0.0, step=0.05)
         small_spec(delta=-3.0)  # the fixed delta is not used on a delta sweep
 
+    @pytest.mark.parametrize("value", [1j, np.complex128(1.0), True, "1", None])
+    @pytest.mark.parametrize("field", ["delta", "beta"])
+    @pytest.mark.parametrize("sweep", ["delta", "beta"])
+    def test_refuses_non_real_coupling(self, sweep, field, value):
+        # through ModelParams, also for the fixed value the sweep replaces
+        with pytest.raises(ValueError, match=f"{field} must be a finite real"):
+            small_spec(sweep=sweep, **{field: value})
+
     @pytest.mark.parametrize("kw", [
         {"model": STAGGERED_XXZ, "block": "quartet",
          "quantities": ("entropy", "m")},
@@ -650,6 +658,8 @@ class TestCli:
         capsys.readouterr()
         for argv in (["info", "--m-sites", "15"],  # 30 > MAX_SPINS
                      ["spectrum", "--tol", "-1"], ["spectrum", "--delta", "nan"],
+                     ["spectrum", "--beta", "1j"], ["sweep", "--delta", "inf", *out],
+                     ["sweep", "--sweep", "beta", "--beta", "nan", *out],
                      ["sweep", "--range", "0:inf:1", *out],
                      ["sweep", "--tol", "inf", *out]):  # every residual <= inf
             assert cli.main(argv) == 1
