@@ -22,6 +22,10 @@ _CHUNK = 1 << 16
 # bit-reversed value of each byte
 _REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)],
                           dtype=np.uint32)
+# the XParity(1, 1) label of each row below 256: the row above the parities
+# of its even and odd bits
+_BYTE_LABELS = np.array([b << 2 | (b & 0x55).bit_count() % 2
+                         | (b & 0xAA).bit_count() % 2 << 1 for b in range(256)])
 
 
 class CapacityError(Exception):
@@ -75,38 +79,113 @@ class SpinBasis:
     """Ordered list of basis labels, optionally restricted to a sector."""
 
     n_spins: int
-    states: np.ndarray  # strictly increasing int64 labels
+    # strictly increasing int64 labels; None where they are computed from
+    # their rows instead (``labels``), as for a K0 basis's parent
+    states: Optional[np.ndarray]
     sector: object = field(default_factory=Full)
     frame: str = "z"  # "z" or "x": which single-spin Pauli is diagonal
-    # K0 sectors only: the parent sector's basis, the row of each parent
-    # state's orbit, and the orbit size of each row
+    # K0 sectors only: the parent sector, which stores no labels, the row of
+    # each parent state's orbit, and the orbit size of each row
     parent: Optional["SpinBasis"] = None
     orbit: Optional[np.ndarray] = None
     sizes: Optional[np.ndarray] = None
-    # SzFixed sectors only: Lin's tables (hi_off, lo_rank) of rank()
+    # SzFixed sectors only: Lin's tables (hi_off, lo_rank) of rank(), with
+    # the end of the last high part at hi_off[-1], and the low parts grouped
+    # by popcount (by_pc, shift) that labels() reads
     lin: Optional[tuple] = None
 
     @property
     def dim(self):
+        if self.states is None:
+            return sector_dim(self.n_spins, self.sector)
         return len(self.states)
 
     def rank(self, labels):
-        """Row that each label in [0, 2^n) would hold in this Full, XParity
-        or SzFixed basis; checked against ``states`` only by index_of.
+        """Row that each label of this Full, XParity or SzFixed sector holds;
+        meaningless for a label outside it (``contains``).
 
         XParity fixes the two lowest bits by the parities of the others, so
         the row is s >> 2. SzFixed ranks by the high half of the bits, then
         by the low half among those of the same popcount: H. Q. Lin, Phys.
-        Rev. B 42, 6561 (1990). The sum may pass the last row for a label
-        outside the sector.
+        Rev. B 42, 6561 (1990).
         """
         if isinstance(self.sector, XParity):
             return labels >> 2
         if isinstance(self.sector, SzFixed):
-            hi_off, lo_rank = self.lin
+            hi_off, lo_rank = self.lin[:2]
             half = self.n_spins // 2
             return hi_off[labels >> half] + lo_rank[labels & ((1 << half) - 1)]
         return labels
+
+    def contains(self, labels):
+        """Whether each label in [0, 2^n) lies in this Full, XParity or
+        SzFixed sector, by the popcounts that define the sector."""
+        if isinstance(self.sector, XParity):
+            sigma = sum(1 << i for i in range(0, self.n_spins, 2))
+            return (((np.bitwise_count(labels & sigma) & 1) == (self.sector.p1 == -1))
+                    & ((np.bitwise_count(labels & (sigma << 1)) & 1) == (self.sector.p2 == -1)))
+        if isinstance(self.sector, SzFixed):
+            return np.bitwise_count(labels) == self.sector.n_up
+        return np.ones(np.shape(labels), dtype=bool)
+
+    def labels(self, lo=0, hi=None):
+        """Labels of rows lo..hi: a slice of ``states``, or, where none are
+        stored, computed from the rows of this Full, XParity or SzFixed
+        sector."""
+        hi = self.dim if hi is None else hi
+        if self.states is not None:
+            return self.states[lo:hi]
+        if hi <= lo:
+            return np.empty(0, dtype=np.int64)
+        if isinstance(self.sector, SzFixed):
+            return self._sz_labels(lo, hi)
+        if isinstance(self.sector, Full):
+            return np.arange(lo, hi, dtype=np.int64)
+        return _xparity_labels(lo, hi, (self.sector.p1 == -1) | (self.sector.p2 == -1) << 1)
+
+    def _sz_labels(self, lo, hi):
+        """SzFixed labels of rows lo..hi, from the whole high parts h0..h1
+        that hold them: the labels with high part h are h followed by each
+        low part of popcount n_up - popcount(h), in increasing order, and
+        row r of part h takes low part by_pc[r + shift[h]]."""
+        hi_off, _, by_pc, shift = self.lin
+        h0 = np.searchsorted(hi_off, lo, "right") - 1
+        h1 = np.searchsorted(hi_off, hi)
+        count = np.diff(hi_off[h0:h1 + 1])
+        rows = np.repeat(shift[h0:h1], count)
+        rows += np.arange(hi_off[h0], hi_off[h1])
+        labels = by_pc[rows]
+        labels |= np.repeat(np.arange(h0, h1, dtype=np.int64) << self.n_spins // 2, count)
+        return labels[lo - hi_off[h0]:hi - hi_off[h0]]
+
+    def slices(self, low):
+        """(lo, hi, bits) for each nonempty run of rows lo..hi whose labels
+        share their bits from ``low`` up, in order, with ``bits`` the low
+        ``low`` bits of those labels; needs n/2 < low <= n.
+
+        An SzFixed run is whole high parts, and its bits depend only on the
+        popcount of its high bits. A Full or XParity run has the bits of
+        rows 0, 1, ..., with the two parity bits flipped by the parities of
+        its high bits.
+        """
+        n, mask = self.n_spins, (1 << low) - 1
+        if isinstance(self.sector, SzFixed):
+            edges = self.lin[0][::1 << (low - n // 2)]
+            by_popcount = {}
+            for t, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+                if lo < hi:
+                    c = t.bit_count()
+                    if c not in by_popcount:
+                        by_popcount[c] = self.labels(lo, hi) & mask
+                    yield lo, hi, by_popcount[c]
+            return
+        parity = isinstance(self.sector, XParity)
+        sigma = parity * sum(1 << i for i in range(0, n, 2))
+        table = self.labels(0, 1 << (low - 2 * parity))
+        for lo in range(0, self.dim, len(table)):
+            high = lo << 2 * parity
+            flip = (high & sigma).bit_count() % 2 | (high & sigma << 1).bit_count() % 2 << 1
+            yield lo, lo + len(table), table ^ flip
 
     def index_of(self, labels):
         """Rows of the given labels (in a K0 sector, of their orbits);
@@ -118,9 +197,9 @@ class SpinBasis:
             raise KeyError("non-integer label")
         labels = labels.astype(np.int64, copy=False)
         b = self if self.parent is None else self.parent
-        rows = b.rank(labels)
-        if np.any(np.take(b.states, rows, mode="clip") != labels):
+        if not b.contains(labels).all():
             raise KeyError("label not in basis sector")
+        rows = b.rank(labels)
         return rows if self.parent is None else self.orbit[rows]
 
 
@@ -138,78 +217,87 @@ def sector_dim(n_spins, sector):
 
 def build_basis(n_spins, sector=Full(), frame="z"):
     """Enumerate the basis of an ``n_spins`` chain restricted to ``sector``."""
+    if isinstance(sector, K0):
+        return _k0_basis(n_spins, sector, frame)
+    b = _label_space(n_spins, sector, frame)
+    # chunks of rows, so that no other array is as long as the labels
+    states = np.empty(b.dim, dtype=np.int64)
+    for lo in range(0, len(states), _CHUNK):
+        states[lo:lo + _CHUNK] = b.labels(lo, min(lo + _CHUNK, len(states)))
+    b.states = states
+    return b
+
+
+def _label_space(n_spins, sector, frame):
+    """A Full, XParity or SzFixed basis that stores no labels: its rows,
+    labels and membership all come from closed forms."""
     if not 1 <= n_spins <= MAX_SPINS:
         raise CapacityError(f"n_spins={n_spins} outside supported range [1, {MAX_SPINS}]")
     if frame not in ("z", "x"):
         raise ValueError(f"unknown frame {frame!r}")
-
-    if isinstance(sector, Full):
-        states = np.arange(1 << n_spins, dtype=np.int64)
-        return SpinBasis(n_spins, states, sector, frame)
-    if isinstance(sector, K0):
-        return _k0_basis(n_spins, sector, frame)
+    b = SpinBasis(n_spins, None, sector, frame)
     if isinstance(sector, SzFixed):
         if not 0 <= sector.n_up <= n_spins:
             raise ValueError(f"n_up={sector.n_up} inconsistent with n_spins={n_spins}")
-        return _sz_basis(n_spins, sector, frame)
-    if not isinstance(sector, XParity):
+        b.lin = _lin_tables(n_spins, sector.n_up)
+    elif isinstance(sector, XParity):
+        if sector.p1 not in (-1, 1) or sector.p2 not in (-1, 1):
+            raise ValueError("parity eigenvalues must be +1 or -1")
+        if n_spins % 2:
+            raise ValueError("XParity sectors need an even number of spins")
+    elif not isinstance(sector, Full):
         raise ValueError(f"unknown sector descriptor {sector!r}")
-    if sector.p1 not in (-1, 1) or sector.p2 not in (-1, 1):
-        raise ValueError("parity eigenvalues must be +1 or -1")
-    if n_spins % 2:
-        raise ValueError("XParity sectors need an even number of spins")
-    # the label (r << 2) | b0 | b1 << 1, with sigma bit 0 and tau bit 1 set
-    # so that the sigma and tau parities come out as asked; written over
-    # chunks of ranks r, so no other array is as long as the labels
-    even = sum(1 << i for i in range(0, n_spins - 2, 2))
-    states = np.empty(1 << (n_spins - 2), dtype=np.int64)
-    for lo in range(0, len(states), _CHUNK):
-        r = np.arange(lo, min(lo + _CHUNK, len(states)), dtype=np.int64)
-        b0 = (np.bitwise_count(r & even) & 1) ^ (sector.p1 == -1)
-        b1 = (np.bitwise_count(r & (even << 1)) & 1) ^ (sector.p2 == -1)
-        states[lo:lo + len(r)] = (r << 2) | b0 | (b1 << 1)
-    return SpinBasis(n_spins, states, sector, frame)
+    return b
 
 
-def _sz_basis(n_spins, sector, frame):
-    """SzFixed labels in increasing order, with Lin's two rank tables.
+def _xparity_labels(lo, hi, flip):
+    """XParity labels (r << 2) | b0 | b1 << 1 of rows r in lo..hi, with
+    sigma bit 0 and tau bit 1 set so that the sigma and tau parities come
+    out as asked: the parities of r's even and odd bits, xor ``flip``.
 
-    A label is its high bits h above its low ``half`` bits l. The labels
-    with high part h are h followed by each low part of popcount
-    n_up - popcount(h), in increasing order; hi_off[h] counts the labels
-    before them, and lo_rank[l] is the place of l among the low parts of
-    its popcount.
+    A row shifted by 8 bits keeps its parities, and a label is affine in its
+    row over GF(2), so the label of row a 2^8 + b is the label of row a, its
+    row bits shifted by 8, xor (b << 2) | parities(b): one xor per label, on
+    the labels of 256 times fewer rows.
+    """
+    if hi <= 256:
+        return _BYTE_LABELS[lo:hi] ^ flip
+    a0 = lo >> 8
+    heads = _xparity_labels(a0, ((hi - 1) >> 8) + 1, flip)
+    heads = heads >> 2 << 10 | heads & 3
+    return (heads[:, None] ^ _BYTE_LABELS).ravel()[lo - (a0 << 8):hi - (a0 << 8)]
+
+
+def _lin_tables(n_spins, n_up):
+    """(hi_off, lo_rank, by_pc, shift) of an SzFixed(n_up) sector.
+
+    A label is its high bits h above its low ``half`` bits l. hi_off[h]
+    counts the labels before those of high part h, and hi_off[-1] all of
+    them; lo_rank[l] is the place of l among the low parts of its popcount.
+    by_pc lists the low parts grouped by popcount, in increasing order
+    within a group, and the group of high part h starts at row
+    hi_off[h] + shift[h] of it.
     """
     half = n_spins // 2
     lo = np.arange(1 << half, dtype=np.int64)
     lo_pc = popcount(lo)
-    by_pc = np.argsort(lo_pc, kind="stable")  # low parts, grouped by popcount
+    by_pc = np.argsort(lo_pc, kind="stable")
     size = np.bincount(lo_pc, minlength=half + 1)
     start = np.cumsum(size) - size
     lo_rank = np.empty_like(lo)
     lo_rank[by_pc] = lo - start[lo_pc[by_pc]]
-    hi = np.arange(1 << (n_spins - half), dtype=np.int64)
-    need = sector.n_up - popcount(hi)
+    need = n_up - popcount(np.arange(1 << (n_spins - half), dtype=np.int64))
     fits = (need >= 0) & (need <= half)
     need = np.where(fits, need, 0)
-    count = np.where(fits, size[need], 0)
-    hi_off = np.cumsum(count) - count
-    states = np.empty(hi_off[-1] + count[-1], dtype=np.int64)
-    # chunks of whole high parts, each starting at a multiple of _CHUNK
-    # labels, so that no other array is as long as the labels
-    cuts = np.unique(np.append(
-        np.searchsorted(hi_off, np.arange(0, len(states), _CHUNK)), len(hi)))
-    for h0, h1 in zip(cuts[:-1], cuts[1:]):
-        c, off = count[h0:h1], hi_off[h0:h1] - hi_off[h0]
-        rows = np.arange(c.sum()) + np.repeat(start[need[h0:h1]] - off, c)
-        states[hi_off[h0]:hi_off[h0] + len(rows)] = (
-            np.repeat(hi[h0:h1] << half, c) | by_pc[rows])
-    return SpinBasis(n_spins, states, sector, frame, lin=(hi_off, lo_rank))
+    hi_off = np.concatenate(([0], np.cumsum(np.where(fits, size[need], 0))))
+    return hi_off, lo_rank, by_pc, start[need] - hi_off[:-1]
 
 
 def _k0_basis(n_spins, sector, frame):
-    """Orbit representatives of the parent sector under the 4M symmetries."""
-    parent = build_basis(n_spins, sector.parent, frame)
+    """Orbit representatives of the parent sector under the 4M symmetries.
+    The parent keeps no labels: each pass computes those of a chunk of its
+    rows, and orbit (int32) is the only array as long as the parent."""
+    parent = _label_space(n_spins, sector.parent, frame)
     ones = np.uint32((1 << n_spins) - 1)
     if isinstance(sector.parent, XParity) and sector.parent.p1 == sector.parent.p2:
         even = np.uint32(sum(1 << i for i in range(0, n_spins, 2)))
@@ -227,7 +315,7 @@ def _k0_basis(n_spins, sector, frame):
     # exchange(mirror(s)) at once, one of the three at a time
     reps = []
     for lo in range(0, parent.dim, _CHUNK):
-        s = parent.states[lo:lo + _CHUNK].astype(np.uint32)
+        s = parent.labels(lo, min(lo + _CHUNK, parent.dim)).astype(np.uint32)
         for t in range(2, n_spins, 2):
             s = s[s <= rotate(s, t)]
         for symmetry in (exchange, mirror, lambda s: exchange(mirror(s))):
@@ -235,9 +323,9 @@ def _k0_basis(n_spins, sector, frame):
         reps.append(s)
     states = np.concatenate(reps)
     # every parent label is an image of its representative, so a pass over
-    # their images, chunk by chunk, fills orbit (int32, the only array as
-    # long as the parent's labels). Orbit-stabilizer: an orbit has 2n labels
-    # over the number of the 4M = 2n symmetries that fix its representative
+    # their images, chunk by chunk, fills orbit. Orbit-stabilizer: an orbit
+    # has 2n labels over the number of the 4M = 2n symmetries that fix its
+    # representative
     orbit = np.empty(parent.dim, dtype=np.int32)
     fixed = np.zeros(len(states), dtype=np.int64)
     for lo in range(0, len(states), _CHUNK):
@@ -362,16 +450,22 @@ def pauli_action(psi, *strings):
     labels P moves out of it."""
     b = psi.basis
     x, z, phase = compose(strings, b.n_spins, b.frame)
-    amps, labels = psi.amplitudes, b.states
+    amps, orbit = psi.amplitudes, None
     if b.parent is not None:
-        amps, labels = (amps / np.sqrt(b.sizes))[b.orbit], b.parent.states
-        b = b.parent
-    moved = phase * np.where(np.bitwise_count(labels & z) & 1, -amps, amps)
-    labels = labels ^ x
-    rows = b.rank(labels)
-    inside = np.take(b.states, rows, mode="clip") == labels
-    target = np.where(inside, np.take(amps, rows, mode="clip"), 0)
-    return moved, target, float(np.sum(np.abs(amps[~inside]) ** 2))
+        amps, orbit, b = amps / np.sqrt(b.sizes), b.orbit, b.parent
+    spread = lambda rows: amps[rows] if orbit is None else amps[orbit[rows]]
+    moved = np.empty(b.dim, np.result_type(amps, phase))
+    target = np.zeros(b.dim, amps.dtype)
+    left = 0.0
+    for lo in range(0, b.dim, _CHUNK):
+        hi = min(lo + _CHUNK, b.dim)
+        s, a = b.labels(lo, hi), spread(slice(lo, hi))
+        moved[lo:hi] = phase * np.where(np.bitwise_count(s & z) & 1, -a, a)
+        s = s ^ x
+        inside = b.contains(s)
+        target[lo:hi][inside] = spread(b.rank(s[inside]))
+        left += float(np.sum(np.abs(a[~inside]) ** 2))
+    return moved, target, left
 
 
 def expectation(psi, string):

@@ -49,27 +49,25 @@ def reduce_state(psi, keep):
     n = psi.basis.n_spins
     keep = check_sites(keep, n)
 
-    # sorted labels: each value of the bits from ``low`` up is one slice of
-    # rows, zero-padded to 2^low amplitudes; the kept sites all lie below
-    # ``low``, so each slice adds its own term to rho
+    # the rows whose labels share the bits from ``low`` up form one slice,
+    # zero-padded to 2^low amplitudes; the kept sites all lie below ``low``,
+    # so each slice adds its own term to rho. Past n/2 a slice is whole high
+    # parts of an SzFixed label and whole parity pairs of an XParity one
     b, k = psi.basis, len(keep)
-    low = min(n, max(basis._CHUNK.bit_length() - 1, max(keep) + 1))
-    amps, labels = psi.amplitudes, b.states
+    low = min(n, max(basis._CHUNK.bit_length() - 1, max(keep) + 1, n // 2 + 1))
+    amps = psi.amplitudes
     if b.parent is not None:
-        amps, labels = amps / np.sqrt(b.sizes), b.parent.states
-    edges = np.searchsorted(labels, np.arange((1 << (n - low)) + 1) << low)
+        amps = amps / np.sqrt(b.sizes)
     buf = np.zeros(1 << low, amps.dtype)
     rho = np.zeros((1 << k, 1 << k), dtype=amps.dtype)
     # bit s of a label is axis low-1-s of the slice tensor; the kept axes go
     # to the front in reversed order, so keep[0] is rho's least significant bit
     axes = [low - 1 - s for s in reversed(keep)]
     written = slice(0)  # the entries the last slice wrote, zeroed before the next
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if lo == hi:
-            continue
+    for lo, hi, bits in (b if b.parent is None else b.parent).slices(low):
         buf[written] = 0
-        written = labels[lo:hi] & ((1 << low) - 1)
-        buf[written] = amps[lo:hi] if b.parent is None else amps[b.orbit[lo:hi]]
+        written = bits
+        buf[bits] = amps[lo:hi] if b.parent is None else amps[b.orbit[lo:hi]]
         tens = np.moveaxis(buf.reshape((2,) * low), axes, range(k))
         mat = tens.reshape(1 << k, -1)
         rho += mat @ mat.conj().T

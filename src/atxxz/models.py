@@ -25,6 +25,14 @@ STAGGERED_XXZ = "xxz"
 FRAMES = {ASHKIN_TELLER: "x", STAGGERED_XXZ: "z"}
 
 
+def check_real(name, x):
+    """Refuse ``x`` unless it is a finite real number: no bool, complex,
+    string or None."""
+    real = isinstance(x, (int, float, np.integer, np.floating))
+    if isinstance(x, bool) or not real or not np.isfinite(x):
+        raise ValueError(f"{name} must be a finite real number, got {x!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Couplings and geometry of one chain; the couplings are finite reals."""
@@ -42,10 +50,7 @@ class ModelParams:
             raise ValueError("need a whole number of Ashkin-Teller sites, at "
                              f"least one (two spins), got {self.m_sites!r}")
         for name in ("delta", "beta"):
-            x = getattr(self, name)
-            real = isinstance(x, (int, float, np.integer, np.floating))
-            if isinstance(x, bool) or not real or not np.isfinite(x):
-                raise ValueError(f"{name} must be a finite real number, got {x!r}")
+            check_real(name, getattr(self, name))
 
     @property
     def n_spins(self):

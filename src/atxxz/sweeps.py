@@ -11,7 +11,7 @@ import numpy as np
 
 from .basis import K0
 from .models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
-                     build_hamiltonian, ground_sector, k0_domain)
+                     build_hamiltonian, check_real, ground_sector, k0_domain)
 from .eigensolve import (ConvergenceError, check_solver_args, ground_state,
                          solver_path)
 from .entanglement import (InvalidStateError, check_sites, dsb, negativity,
@@ -58,8 +58,8 @@ class SweepSpec:
         # everything a sweep cannot compute is refused here, before any build
         if self.sweep not in ("delta", "beta"):
             raise ValueError("sweep parameter must be 'delta' or 'beta'")
-        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
-            raise ValueError("start, stop and step must be finite")
+        for name in ("start", "stop", "step"):
+            check_real(name, getattr(self, name))
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.start >= self.stop + 1e-12:

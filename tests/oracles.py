@@ -30,7 +30,7 @@ def expand_full(psi):
     b = psi.basis
     amps, labels = psi.amplitudes, b.states
     if b.parent is not None:
-        amps, labels = (amps / np.sqrt(b.sizes))[b.orbit], b.parent.states
+        amps, labels = (amps / np.sqrt(b.sizes))[b.orbit], b.parent.labels()
     out = np.zeros(1 << b.n_spins, dtype=amps.dtype)
     out[labels] = amps
     return out
@@ -131,7 +131,7 @@ def reduce_by_labels(psi, keep):
     amps, labels = psi.amplitudes / psi.norm, b.states
     if b.parent is not None:
         amps = amps[b.orbit] / np.sqrt(b.sizes[b.orbit])
-        labels = b.parent.states
+        labels = b.parent.labels()
     rest = [s for s in range(b.n_spins) if s not in keep]
     pack = lambda label, sites: sum(((int(label) >> s) & 1) << i
                                     for i, s in enumerate(sites))
@@ -214,7 +214,8 @@ def k0_by_search(parent):
     a binary search of each label's smallest image among the parent labels;
     orbit is int32, as the basis holds it.
 
-    ``parent`` is an XParity(p, p) or SzFixed(n/2) basis.
+    ``parent`` is an XParity(p, p) or SzFixed(n/2) basis, or a K0 basis's
+    parent, which computes its labels.
     """
     n = parent.n_spins
     ones = np.int64((1 << n) - 1)
@@ -223,7 +224,7 @@ def k0_by_search(parent):
         exchange = lambda s: ((s & even) << 1) | ((s >> 1) & even)
     else:
         exchange = lambda s: s ^ ones
-    s = parent.states
+    s = parent.labels()
     n_bytes = -(-n // 8)
     mirror = np.zeros_like(s)
     for j in range(n_bytes):

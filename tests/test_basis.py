@@ -67,6 +67,28 @@ class TestBuildBasis:
         with pytest.raises(KeyError):
             b.index_of([b.states[0], label])
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lookup_refuses_exactly_the_outside_labels(self, n):
+        # membership is a closed form, the popcounts of the sector
+        labels = np.arange(1 << n)
+        sectors = [(SzFixed(k), "z") for k in range(n + 1)] + [(Full(), "z")]
+        if n % 2 == 0:
+            sectors += [(XParity(p1, p2), "x") for p1 in (1, -1) for p2 in (1, -1)]
+            sectors += [(K0(XParity(1, 1)), "x"), (K0(XParity(-1, -1)), "x"),
+                        (K0(SzFixed(n // 2)), "z")]
+        for sector, frame in sectors:
+            b = build_basis(n, sector, frame)
+            members = set((b.states if b.parent is None else b.parent.labels()).tolist())
+            for label in labels:
+                if label in members:
+                    row = b.index_of([label])[0]
+                    assert (b.states[row] == label if b.parent is None
+                            else label in symmetry_orbit(int(b.states[row]), n,
+                                                         isinstance(sector.parent, XParity)))
+                else:
+                    with pytest.raises(KeyError):
+                        b.index_of([label])
+
     def test_lookup_takes_integral_floats(self):
         b = build_basis(6, SzFixed(3))
         assert np.array_equal(b.index_of([7.0, 56.0]), b.index_of([7, 56]))
@@ -87,26 +109,62 @@ class TestBuildBasis:
             build_basis(3, XParity(1, 1))
 
 
-@pytest.mark.parametrize("n", range(1, 15))
-def test_enumeration_matches_brute_force(n):
+@pytest.mark.parametrize("n", range(1, 17))
+def test_enumeration_matches_brute_force(n, monkeypatch):
     # every SzFixed(k), and every XParity pair at even n, against the
-    # popcount filter of all 2^n labels; rows and orbits come back by rank
+    # popcount filter of all 2^n labels: the stored labels, those the sector
+    # computes from rank ranges and runs where it stores none, membership,
+    # and rows and orbits by rank. Chunks of 37 rows end inside SzFixed high
+    # parts, and the ranges start and end on both sides of chunk and
+    # high-part boundaries
+    monkeypatch.setattr(basis, "_CHUNK", 37)
+    rng = np.random.default_rng(n)
     labels = np.arange(1 << n)
     sigma = sum(1 << i for i in range(0, n, 2))
-    sectors = [(SzFixed(k), labels[popcount(labels) == k], "z")
-               for k in range(n + 1)]
+    sectors = [(SzFixed(k), popcount(labels) == k, "z") for k in range(n + 1)]
     if n % 2 == 0:
-        sectors += [(XParity(p1, p2), labels[
+        sectors += [(XParity(p1, p2), (
             ((popcount(labels & sigma) % 2) == (p1 == -1))
-            & ((popcount(labels & (sigma << 1)) % 2) == (p2 == -1))], "x")
+            & ((popcount(labels & (sigma << 1)) % 2) == (p2 == -1))), "x")
             for p1 in (1, -1) for p2 in (1, -1)]
-    for sector, want, frame in sectors:
+    for sector, inside, frame in sectors:
+        want = labels[inside]
         b = build_basis(n, sector, frame=frame)
         assert b.states.dtype == np.int64 and np.array_equal(b.states, want)
         assert np.array_equal(b.index_of(b.states), np.arange(b.dim))
+        space = basis._label_space(n, sector, frame)
+        assert space.states is None and space.dim == b.dim
+        assert np.array_equal(space.labels(), want)
+        assert np.array_equal(space.contains(labels), inside)
+        cuts = list(range(0, b.dim + 1, 37))
+        if isinstance(sector, SzFixed):
+            cuts += list(space.lin[0])
+        cuts = np.clip(np.add.outer(cuts, [-1, 0, 1]).ravel(), 0, b.dim)
+        for lo, hi in rng.choice(cuts, size=(40, 2)):
+            assert np.array_equal(space.labels(lo, hi), want[lo:hi])
+        for low in range(n // 2 + 1, n + 1):
+            runs = list(space.slices(low))
+            assert [lo for lo, _, _ in runs[1:]] == [hi for _, hi, _ in runs[:-1]]
+            assert runs[0][0] == 0 and runs[-1][1] == b.dim
+            for lo, hi, bits in runs:
+                assert len(np.unique(want[lo:hi] >> low)) == 1
+                assert np.array_equal(bits, want[lo:hi] & ((1 << low) - 1))
         if n % 2 == 0 and sector in (XParity(1, 1), XParity(-1, -1), SzFixed(n // 2)):
             k0 = build_basis(n, K0(sector), frame=frame)
-            assert np.array_equal(k0.index_of(k0.parent.states), k0.orbit)
+            assert np.array_equal(k0.index_of(k0.parent.labels()), k0.orbit)
+
+
+def reachable_arrays(obj, path="basis"):
+    """(path, array) of every numpy array reachable from obj through
+    attributes, tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif isinstance(obj, (tuple, list)):
+        for i, item in enumerate(obj):
+            yield from reachable_arrays(item, f"{path}[{i}]")
+    elif hasattr(obj, "__dict__"):
+        for name, value in vars(obj).items():
+            yield from reachable_arrays(value, f"{path}.{name}")
 
 
 def symmetry_orbit(label, n, exchange):
@@ -138,7 +196,7 @@ class TestK0Basis:
         sector = XParity(1, 1) if parent == "xparity" else SzFixed(m_sites)
         b = build_basis(n, K0(sector), frame=frame)
         members = {}
-        for s, row in zip(b.parent.states, b.orbit):
+        for s, row in zip(b.parent.labels(), b.orbit):
             members.setdefault(int(row), set()).add(int(s))
         assert len(members) == b.dim
         for row, labels in members.items():
@@ -192,6 +250,16 @@ class TestK0Basis:
         for image in basis._images(s, n, exchange):
             assert np.all(s <= image)
 
+    @pytest.mark.parametrize("m_sites", [6, 7, 8])
+    @pytest.mark.parametrize("parent,frame", [("xparity", "x"), ("szfixed", "z")])
+    def test_k0_basis_keeps_only_orbit_as_long_as_parent(self, m_sites, parent, frame):
+        # the parent's labels are computed chunk by chunk and never stored
+        sector = XParity(1, 1) if parent == "xparity" else SzFixed(m_sites)
+        b = build_basis(2 * m_sites, K0(sector), frame=frame)
+        long = [path for path, a in reachable_arrays(b) if a.size >= b.parent.dim]
+        assert long == ["basis.orbit"] and b.orbit.dtype == np.int32
+        assert b.parent.states is None
+
     @pytest.mark.parametrize("sector", [XParity(1, -1), SzFixed(2), Full()])
     def test_refuses_asymmetric_parent(self, sector):
         with pytest.raises(ValueError):
@@ -208,7 +276,7 @@ class TestK0Basis:
             orbit = sorted(symmetry_orbit(int(rep), 8, True))
             assert np.allclose(full[orbit], amps[row] / np.linalg.norm(amps)
                                / np.sqrt(len(orbit)), atol=1e-14)
-        assert not full[np.setdiff1d(np.arange(256), b.parent.states)].any()
+        assert not full[np.setdiff1d(np.arange(256), b.parent.labels())].any()
         # Pauli strings read the K0 state as its expansion
         expanded = QuantumState(full, build_basis(8, Full(), frame="x"))
         assert expectation(psi, pauli((0, "z"), (2, "z"))) == pytest.approx(

@@ -80,6 +80,28 @@ class TestReduceState:
                     rho = reduce_state(psi, keep).matrix
                     assert np.abs(rho - reduce_dense(psi, keep)).max() <= 1e-14
 
+    @pytest.mark.parametrize("sector,frame", [(XParity(1, 1), "x"), (SzFixed(9), "z")])
+    def test_k0_matches_parent_sector_over_many_slices(self, sector, frame):
+        # 18 spins: four slices of 2^16 labels at the default _CHUNK, which
+        # the K0 state reads through its parent's computed labels, and the
+        # parent-sector and full-space states through their stored ones
+        n = 18
+        k0 = build_basis(n, K0(sector), frame)
+        plain = build_basis(n, sector, frame)
+        full = build_basis(n, Full(), frame)
+        assert len(list(k0.parent.slices(16))) == 4
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=k0.dim) + 1j * rng.normal(size=k0.dim)
+        spread = amps[k0.orbit] / np.sqrt(k0.sizes[k0.orbit])
+        expanded = np.zeros(full.dim, complex)
+        expanded[plain.states] = spread
+        for keep in ((0, 1), (2, 0, 3), (15,), (5, 14, 9, 12)):
+            want = reduce_state(QuantumState(spread, plain), keep).matrix
+            got = reduce_state(QuantumState(amps, k0), keep).matrix
+            assert np.abs(got - want).max() <= 1e-14
+            got = reduce_state(QuantumState(expanded, full), keep).matrix
+            assert np.abs(got - want).max() <= 1e-14
+
     def test_frontal_pair_allocates_no_state_vector(self):
         # a 20-spin amplitude vector alone takes 8 MiB
         p = ModelParams(ASHKIN_TELLER, 10, delta=1.0, beta=1.0)

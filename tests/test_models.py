@@ -268,7 +268,7 @@ def isometry(b):
     if b.parent is None:
         iso[b.states, np.arange(b.dim)] = 1.0
     else:
-        iso[b.parent.states, b.orbit] = 1.0 / np.sqrt(b.sizes[b.orbit])
+        iso[b.parent.labels(), b.orbit] = 1.0 / np.sqrt(b.sizes[b.orbit])
     return iso
 
 
@@ -321,10 +321,10 @@ class TestColumnChunks:
                 assert np.abs(got - iso.T @ full @ iso).max() <= 1e-12
 
     def test_k0_pencil_build_stays_small(self):
-        # 20 spins: the parent's labels take 2 MiB and the int32 orbit 1 MiB,
-        # the CSR pattern with A and B 4.1 MiB, and one chunk of columns'
-        # temporaries about 3.5 MiB. Whole-sector triplet arrays and an int64
-        # orbit peaked at 18.2 MiB
+        # 20 spins: the int32 orbit takes 1 MiB, the CSR pattern with A and
+        # B 4.1 MiB, and one chunk of columns' temporaries about 3.5 MiB; the
+        # peak is 8.7 MiB. Stored parent labels (2 MiB) peaked at 10.7 MiB,
+        # and whole-sector triplet arrays with an int64 orbit at 18.2 MiB
         p = ModelParams(ASHKIN_TELLER, 10, delta=1.0, beta=1.0)
         tracemalloc.start()
         try:
@@ -332,7 +332,7 @@ class TestColumnChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 << 20
+        assert peak < 10 << 20
         assert h.dim == 6990 and h.slope.dtype == np.float64
 
 

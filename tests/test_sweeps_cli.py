@@ -68,10 +68,11 @@ class TestSweepSpec:
         small_spec(delta=-3.0)  # the fixed delta is not used on a delta sweep
 
     @pytest.mark.parametrize("value", [1j, np.complex128(1.0), True, "1", None])
-    @pytest.mark.parametrize("field", ["delta", "beta"])
+    @pytest.mark.parametrize("field", ["delta", "beta", "start", "stop", "step"])
     @pytest.mark.parametrize("sweep", ["delta", "beta"])
     def test_refuses_non_real_coupling(self, sweep, field, value):
-        # through ModelParams, also for the fixed value the sweep replaces
+        # through ModelParams, also for the fixed value the sweep replaces;
+        # the range by the same rule, a ValueError that names the field
         with pytest.raises(ValueError, match=f"{field} must be a finite real"):
             small_spec(sweep=sweep, **{field: value})
 
@@ -85,7 +86,10 @@ class TestSweepSpec:
         {"beta": np.nan}, {"block": ()},
         {"block": (0,), "quantities": ("negativity",)},
         {"block": (1,), "quantities": ("energy", "d1:dsb")}, {"quantities": ()},
-        {"quantities": ("entropy", "entropy")}, {"seed": -1}, {"m_sites": 2.0}])
+        {"quantities": ("entropy", "entropy")}, {"seed": -1}, {"m_sites": 2.0},
+        {"start": 0.5j}, {"stop": "0.7"}, {"step": None},
+        {"stop": np.complex128(0.7)}, {"start": True, "stop": 1.5},
+        {"step": True}])
     def test_refused_before_any_build(self, kw, monkeypatch):
         builds = []
         monkeypatch.setattr(sweeps_mod, "build_hamiltonian",
