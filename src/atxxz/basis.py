@@ -442,36 +442,55 @@ def compose(strings, n_spins, frame):
     return x, z, phase
 
 
-def pauli_action(psi, *strings):
-    """The product P = phase X^x Z^z of the strings (``compose``) on the
-    labels s of psi's sector (a K0 state: c / sqrt(N) on its parent's).
-    Returns the moved amplitudes phase (-1)^|s & z| psi(s), which land on
-    s ^ x; psi(s ^ x), zero outside the sector; and psi's weight on the
-    labels P moves out of it."""
+def _action_chunks(psi, strings):
+    """``pauli_action``'s values one ``_CHUNK`` of (parent) rows at a time:
+    yields the rows' slice, their moved amplitudes and targets, and the
+    weight they lose out of the sector."""
     b = psi.basis
     x, z, phase = compose(strings, b.n_spins, b.frame)
     amps, orbit = psi.amplitudes, None
     if b.parent is not None:
         amps, orbit, b = amps / np.sqrt(b.sizes), b.orbit, b.parent
     spread = lambda rows: amps[rows] if orbit is None else amps[orbit[rows]]
-    moved = np.empty(b.dim, np.result_type(amps, phase))
-    target = np.zeros(b.dim, amps.dtype)
-    left = 0.0
-    for lo in range(0, b.dim, _CHUNK):
-        hi = min(lo + _CHUNK, b.dim)
+
+    def act(lo, hi):
         s, a = b.labels(lo, hi), spread(slice(lo, hi))
-        moved[lo:hi] = phase * np.where(np.bitwise_count(s & z) & 1, -a, a)
+        moved = phase * np.where(np.bitwise_count(s & z) & 1, -a, a)
         s = s ^ x
         inside = b.contains(s)
-        target[lo:hi][inside] = spread(b.rank(s[inside]))
-        left += float(np.sum(np.abs(a[~inside]) ** 2))
+        left = float(np.sum(np.abs(a[~inside]) ** 2))
+        del a  # before target and its gather, which set the chunk's peak
+        target = np.zeros(hi - lo, amps.dtype)
+        target[inside] = spread(b.rank(s[inside]))
+        return slice(lo, hi), moved, target, left
+    # act's temporaries die as it returns, and this frame keeps nothing of
+    # what it yields
+    for lo in range(0, b.dim, _CHUNK):
+        yield act(lo, min(lo + _CHUNK, b.dim))
+
+
+def pauli_action(psi, *strings):
+    """The product P = phase X^x Z^z of the strings (``compose``) on the
+    labels s of psi's sector (a K0 state: c / sqrt(N) on its parent's).
+    Returns the moved amplitudes phase (-1)^|s & z| psi(s), which land on
+    s ^ x; psi(s ^ x), zero outside the sector; and psi's weight on the
+    labels P moves out of it."""
+    b = psi.basis if psi.basis.parent is None else psi.basis.parent
+    moved = target = None
+    left = 0.0
+    for rows, m, t, w in _action_chunks(psi, strings):
+        if moved is None:
+            moved, target = np.empty(b.dim, m.dtype), np.empty(b.dim, t.dtype)
+        moved[rows], target[rows] = m, t
+        left += w
     return moved, target, left
 
 
 def expectation(psi, string):
-    """<psi| string |psi> for a normalized state; must be real."""
-    moved, target, _ = pauli_action(psi, string)
-    val = np.vdot(target, moved)
+    """<psi| string |psi> for a normalized state; must be real. The sum
+    runs chunk by chunk, so no parent-size array is made."""
+    # map, unlike a for loop, drops each chunk before it asks for the next
+    val = sum(map(lambda c: np.vdot(c[2], c[1]), _action_chunks(psi, (string,))))
     if abs(np.imag(val)) > 1e-10:
         raise ValueError(f"non-real expectation value {val} (non-Hermitian string?)")
     return float(np.real(val))

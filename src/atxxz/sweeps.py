@@ -50,6 +50,8 @@ class SweepSpec:
     block: object = "frontal-pair"  # preset name or explicit site list
     out: Optional[str] = None
     tol: float = 1e-10
+    # draws the ARPACK start of a sweep outside K0, and (as seed + 1) of
+    # every retry; a K0 sweep starts from sqrt(sizes) or the last psi0
     seed: int = 0
     # ignored, since sweeps run serially; perfbench/layer_report.py still sets it
     threads: Optional[int] = None
@@ -128,12 +130,13 @@ def _warn(spec, p, reason):
                  spec.sweep, getattr(p, spec.sweep), reason)
 
 
-def _evaluate_point(spec, h, base_quantities, sites, v0):
+def _evaluate_point(spec, h, base_quantities, sites, v0, k):
     """Values and converged flags of each base quantity at one point, and
-    the solve (None where the point failed); ``v0`` starts the solver."""
+    the solve of its ``k`` lowest levels (None where the point failed);
+    ``v0`` starts the solver."""
     p = h.params
     try:
-        res = ground_state(h, k=2, tol=spec.tol, seed=spec.seed, v0=v0)
+        res = ground_state(h, k=k, tol=spec.tol, seed=spec.seed, v0=v0)
         psi = res.ground_state
         out = {}
         rho = None
@@ -156,7 +159,8 @@ def _evaluate_point(spec, h, base_quantities, sites, v0):
         return p, {q: float("nan") for q in base_quantities}, dict.fromkeys(
             base_quantities, False), None
     if res.degenerate:
-        _warn(spec, p, f"degenerate ground state (gap {res.gap:.1e}, "
+        gap = "n/a" if res.gap is None else f"{res.gap:.1e}"
+        _warn(spec, p, f"degenerate ground state (gap {gap}, "
                        f"translation overlap {res.overlap:.6f}); "
                        "state-dependent rows flagged unconverged")
     return p, out, {q: q == "energy" or not res.degenerate
@@ -168,9 +172,13 @@ def run_sweep(spec):
 
     Where both grid ends lie in ``k0_domain``, so does every point, and the
     sweep solves in the K0 refinement of the ground sector. There the
-    ground state is unique and nodeless, so it overlaps the previous
-    point's: each ARPACK solve after a converged, nondegenerate point starts
-    from that point's psi0 + psi1. Other points start from ``spec.seed``.
+    ground level is simple and its state nodeless (Perron-Frobenius), so
+    each point solves only that level (``k = 1``; a dense solve still
+    solves level 1 for its gap). An ARPACK solve after a converged,
+    nondegenerate point starts from that point's psi0; the first point,
+    and a point after a failed or degenerate one, start from sqrt(sizes),
+    the K0 coordinates of the uniform parent-sector state. Points outside
+    K0 solve two levels from ``spec.seed``.
     """
     n_spins = 2 * spec.m_sites
     label, sites = resolve_block(spec.block, spec.model, n_spins)
@@ -185,18 +193,21 @@ def run_sweep(spec):
     h = build_hamiltonian(p0, sector, spec.sweep)  # H(x) = A + x B
     a, b = h.matrix.data, h.slope
     h.matrix.data = np.empty_like(a)
-    # only ARPACK reads v0; a dense solve at dim 1 (XXZ K0, M = 1) has no psi1
-    warm = isinstance(sector, K0) and solver_path(h.dim, 2) == "arpack"
-    points, v0 = [], None
+    k = 1 if isinstance(sector, K0) else 2
+    # the K0 ground state is nodeless, so it overlaps sqrt(sizes), the
+    # uniform parent-sector state in K0 coordinates; only ARPACK reads v0
+    uniform = (np.sqrt(h.basis.sizes)
+               if k == 1 and solver_path(h.dim, k) == "arpack" else None)
+    points, v0 = [], uniform
     for x in grid:
         np.multiply(b, x, out=h.matrix.data)
         h.matrix.data += a
         h.params = replace(p, **{spec.sweep: x})
-        *point, res = _evaluate_point(spec, h, base, sites, v0)
+        *point, res = _evaluate_point(spec, h, base, sites, v0, k)
         points.append(point)
-        v0 = None
-        if warm and res is not None and not res.degenerate:
-            v0 = res.states[0].amplitudes + res.states[1].amplitudes
+        v0 = uniform
+        if uniform is not None and res is not None and not res.degenerate:
+            v0 = res.ground_state.amplitudes
 
     result = SweepResult(spec)
     values = {q: np.array([pt[1][q] for pt in points]) for q in base}

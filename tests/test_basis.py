@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from atxxz.basis import (CapacityError, Full, K0, PauliString, QuantumState,
                          SzFixed, XParity, build_basis, expectation, pauli,
                          pauli_action, popcount)
 from atxxz.eigensolve import ground_state
-from atxxz.models import STAGGERED_XXZ, ModelParams, build_hamiltonian
+from atxxz.models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
+                          build_hamiltonian)
 from oracles import dense_op, expand_full, k0_by_search
 
 
@@ -388,6 +391,22 @@ class TestExpectation:
         assert want == pytest.approx(0.62283903060711, abs=1e-12)
         assert expectation(sz, xx) == pytest.approx(want, abs=1e-14)
         assert expectation(k0, xx) == pytest.approx(want, abs=1e-14)
+
+    def test_k0_expectation_takes_one_chunk_at_a_time(self):
+        # 20 spins: the K0 state spreads over 2^18 parent rows, and the
+        # whole moved/target pair of pauli_action peaks at 6.4 MiB
+        p = ModelParams(ASHKIN_TELLER, 10, delta=1.0, beta=1.0)
+        psi = ground_state(build_hamiltonian(p, K0(XParity(1, 1)))).ground_state
+        string = pauli((0, "x"), (2, "x"))
+        tracemalloc.start()
+        try:
+            value = expectation(psi, string)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20
+        moved, target, _ = pauli_action(psi, string)
+        assert abs(value - np.vdot(target, moved).real) <= 1e-14
 
     def test_non_hermitian_rejected(self):
         b = build_basis(1)

@@ -6,11 +6,11 @@ import pytest
 
 from atxxz import cli, kernels
 from atxxz.basis import K0, CapacityError, SpinBasis, SzFixed, XParity
-from atxxz.eigensolve import ConvergenceError, ground_state
+from atxxz.eigensolve import ConvergenceError, ground_state, solver_path
 from atxxz.entanglement import (InvalidStateError, negativity, reduce_state,
                                 von_neumann)
 from atxxz.models import (ASHKIN_TELLER, STAGGERED_XXZ, ModelParams,
-                          ground_sector)
+                          ground_sector, k0_domain)
 from atxxz.observables import (correlator_x, finite_difference,
                                magnetization_x)
 from atxxz.sweeps import (SweepSpec, figure_presets, read_csv, resolve_block,
@@ -408,18 +408,21 @@ class TestWarmStart:
                           block=(0, 1), quantities=("energy", "entropy"))
         rows = run_sweep(spec).rows
         grid = spec.grid()
-        # only M = 7 has a K0 dimension (181, 155) on the ARPACK path
-        assert [v0 is not None for v0, _ in calls] == (
-            [False] + [m_sites == 7] * (len(grid) - 1))
+        # only M = 7 has a K0 dimension (181, 155) on the ARPACK path: its
+        # first point starts from the Perron-Frobenius vector sqrt(sizes),
+        # every later one from the previous point's psi0
+        assert [v0 is not None for v0, _ in calls] == [m_sites == 7] * len(grid)
         for i, x in enumerate(grid):
             v0, res = calls[i]
             if v0 is not None:
-                prev = calls[i - 1][1].states
-                assert np.array_equal(v0, prev[0].amplitudes + prev[1].amplitudes)
+                want = (np.sqrt(res.ground_state.basis.sizes) if i == 0
+                        else calls[i - 1][1].ground_state.amplitudes)
+                assert np.array_equal(v0, want)
+            assert len(res.energies) == 1
             p = ModelParams(model, m_sites, **{"delta": 0.8, "beta": 1.1, sweep: x})
             h = models_mod.build_hamiltonian(p, K0(ground_sector(p)))
             cold = ground_state(h, k=2, seed=0)
-            assert np.abs(res.energies - cold.energies).max() <= 1e-9  # E0, E1
+            assert abs(res.ground_energy - cold.ground_energy) <= 1e-9
             want = (cold.ground_energy,
                     von_neumann(reduce_state(cold.ground_state, (0, 1))))
             for r, w in zip(rows[i::len(grid)], want):
@@ -452,7 +455,7 @@ class TestWarmStart:
                 assert np.array_equal(a.amplitudes, b.amplitudes)
 
     @pytest.mark.parametrize("failure", ["convergence", "degenerate"])
-    def test_cold_start_after_failed_point(self, monkeypatch, failure):
+    def test_cold_start_after_failed_point(self, monkeypatch, caplog, failure):
         def fail_second(i, res):
             if i != 1:
                 return res
@@ -460,12 +463,59 @@ class TestWarmStart:
                 raise ConvergenceError("forced", best_residual=1.0)
             return dataclasses.replace(res, degenerate=True)
         calls = spy_solves(monkeypatch, fail_second)
-        rows = run_sweep(small_spec(m_sites=7, start=0.8, stop=1.2, step=0.1,
-                                    quantities=("energy", "entropy"))).rows
-        assert [v0 is not None for v0, _ in calls] == [False, True, False,
-                                                      True, True]
+        with caplog.at_level(logging.WARNING, logger="atxxz"):
+            rows = run_sweep(small_spec(m_sites=7, start=0.8, stop=1.2, step=0.1,
+                                        quantities=("energy", "entropy"))).rows
+        uniform = np.sqrt(calls[0][1].ground_state.basis.sizes)
+        assert [np.array_equal(v0, uniform) for v0, _ in calls] == [
+            True, False, True, False, False]
+        for i in (1, 3, 4):
+            assert np.array_equal(calls[i][0],
+                                  calls[i - 1][1].ground_state.amplitudes)
         assert [r.converged for r in rows if r.quantity == "entropy"] == [
             True, False, True, True, True]
+        # a K0 ARPACK solve has no gap to print
+        assert (failure == "degenerate") == ("(gap n/a," in caplog.text)
+
+    @pytest.mark.parametrize("model,sweep,start,m_sites,k", [
+        (ASHKIN_TELLER, "delta", 0.5, 7, 1),
+        (STAGGERED_XXZ, "beta", 0.5, 7, 1),
+        (ASHKIN_TELLER, "delta", -0.3, 5, 2),
+        (STAGGERED_XXZ, "beta", -0.3, 5, 2)])
+    def test_k0_sweeps_solve_one_level(self, monkeypatch, model, sweep, start,
+                                       m_sites, k):
+        # K0 (dims 181, 155) solves only the ground level; the fallback
+        # sectors (dims 256, 252) still solve two
+        asked = []
+        real = sweeps_mod.ground_state
+
+        def solve(h, *a, **kw):
+            res = real(h, *a, **kw)
+            asked.append((solver_path(h.dim, kw["k"]), kw["k"], len(res.energies)))
+            return res
+        monkeypatch.setattr(sweeps_mod, "ground_state", solve)
+        run_sweep(small_spec(model=model, m_sites=m_sites, sweep=sweep,
+                             start=start, stop=start + 0.2, step=0.1,
+                             block=(0, 1)))
+        assert asked == [("arpack", k, k)] * 3
+
+    @pytest.mark.parametrize("model,deltas", [
+        (ASHKIN_TELLER, (0.0, 0.5, 1.0, 1.5, 3.0)),
+        (STAGGERED_XXZ, (-1.0, 0.0, 1.0, 3.0))])
+    def test_k0_ground_level_is_simple(self, model, deltas):
+        # why a K0 sweep may solve one level: across k0_domain a cold
+        # two-level solve finds the next K0 level well above the ground
+        # level. The smallest gaps: AT 1.561 (M = 8, delta = 0, beta = 1),
+        # XXZ 0.0625 (M = 8, delta = -1, beta = 0.05)
+        gaps = []
+        for m_sites in range(3, 9):
+            for delta in deltas:
+                for beta in (0.05, 0.5, 1.0, 2.0):
+                    p = ModelParams(model, m_sites, delta=delta, beta=beta)
+                    assert k0_domain(p)
+                    h = models_mod.build_hamiltonian(p, K0(ground_sector(p)))
+                    gaps.append(ground_state(h, k=2).gap)
+        assert min(gaps) > 1e-3
 
     def test_fig6_sweep_takes_fewer_matvecs(self, monkeypatch):
         matvecs = []
